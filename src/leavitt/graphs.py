@@ -2,12 +2,17 @@
 
 Vertex and edge order is document order; all tie-breaking downstream relies
 on it, so it is preserved exactly.
+
+Structure is read off one cached, iterative pass of Tarjan's strongly
+connected component algorithm: the graph has polynomial growth iff every
+non-trivial component has as many edges as vertices (is a single cycle).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "Graph",
@@ -27,6 +32,8 @@ __all__ = [
     "entry_paths",
     "count_paths_to_sink",
 ]
+
+ENTRY_PATH_CAP = 10000
 
 
 class GraphError(ValueError):
@@ -58,6 +65,21 @@ class Infinite:
 
 
 INFINITE = Infinite()
+
+
+class _Adjacency(NamedTuple):
+    position: dict  # vertex -> document index
+    out: dict  # vertex -> tuple of out-edge ids, document order
+    into: dict  # vertex -> tuple of in-edge ids, document order
+
+
+class _Components(NamedTuple):
+    rank: dict  # vertex -> position in Tarjan's output (successors first)
+    on_cycle: set  # vertices of non-trivial components
+    level: dict  # vertex -> level, see analyze
+    growth: bool
+    cycles: tuple  # one Cycle per non-trivial component if growth holds
+    cycle_at: dict  # vertex -> index into cycles
 
 
 @dataclass(frozen=True)
@@ -97,12 +119,34 @@ class Graph:
             self.__dict__["_emap"] = m
         return m
 
+    def _adjacency(self):
+        adj = self.__dict__.get("_adj")
+        if adj is None:
+            out = {v: [] for v in self.vertices}
+            into = {v: [] for v in self.vertices}
+            for eid, s, r in self.edges:
+                out[s].append(eid)
+                into[r].append(eid)
+            adj = self.__dict__["_adj"] = _Adjacency(
+                {v: i for i, v in enumerate(self.vertices)},
+                {v: tuple(es) for v, es in out.items()},
+                {v: tuple(es) for v, es in into.items()},
+            )
+        return adj
+
+    def _components(self):
+        comps = self.__dict__.get("_scc")
+        if comps is None:
+            comps = self.__dict__["_scc"] = _tarjan(self)
+        return comps
+
     def out_edges(self, v):
         """Edge ids with source v, in document order."""
-        return [eid for eid, s, _ in self.edges if s == v]
+        return self._adjacency().out.get(v, ())
 
     def in_edges(self, v):
-        return [eid for eid, _, r in self.edges if r == v]
+        """Edge ids with range v, in document order."""
+        return self._adjacency().into.get(v, ())
 
     def is_sink(self, v):
         return not self.out_edges(v)
@@ -116,7 +160,7 @@ class Graph:
         return out[0] if out else None
 
     def vertex_index(self, v):
-        return self.vertices.index(v)
+        return self._adjacency().position[v]
 
     def to_dict(self):
         return {
@@ -172,7 +216,7 @@ class GraphAnalysis:
     polynomial_growth: bool
     exits: dict = field(default_factory=dict)  # cycle -> edge list
     ne_cycles: list = field(default_factory=list)
-    cycle_reachability: set = field(default_factory=set)  # (cycle, cycle) pairs
+    level: dict = field(default_factory=dict)  # vertex -> level
 
 
 def graph_from_dict(doc):
@@ -197,113 +241,162 @@ def load_graph(path_or_file):
     return graph_from_dict(doc)
 
 
+def _tarjan(g):
+    """Components, growth test, levels and (under growth) the cycles.
+
+    A component is completed after every component it reaches, so its
+    level, the largest level it reaches plus one if it is non-trivial, is
+    known when it is popped.  Cycles start at their least vertex.
+    """
+    position, out, _ = g._adjacency()
+    emap = g._edge_map()
+    index, low, rank, level, succ = {}, {}, {}, {}, {}
+    stack, on_cycle, starts = [], set(), []
+    growth = True
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            v, edges = work[-1]
+            for eid in edges:
+                w = emap[eid][1]
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
+                    break
+                if w not in level:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] != index[v]:
+                    continue
+                comp = [stack.pop()]
+                while comp[-1] != v:
+                    comp.append(stack.pop())
+                inner = reach = 0
+                for u in comp:
+                    rank[u] = len(rank)
+                    for eid in out[u]:
+                        w = emap[eid][1]
+                        if w in level:
+                            reach = max(reach, level[w])
+                        else:
+                            inner += 1
+                            succ[u] = eid
+                if inner:
+                    growth = growth and inner == len(comp)
+                    on_cycle.update(comp)
+                    starts.append(min(comp, key=position.get))
+                    reach += 1
+                for u in comp:
+                    level[u] = reach
+    cycles, cycle_at = [], {}
+    if growth:
+        for v in sorted(starts, key=position.get):
+            edges = []
+            while v not in cycle_at:
+                cycle_at[v] = len(cycles)
+                edges.append(succ[v])
+                v = emap[succ[v]][1]
+            cycles.append(Cycle(tuple(edges)))
+    return _Components(rank, on_cycle, level, growth, tuple(cycles), cycle_at)
+
+
 def _simple_cycles(g):
     """All edge-level simple cycles, each rotated to start at its least vertex.
 
-    Plain DFS from each vertex, forbidding revisits and restricting to
-    vertices >= the start (in document order) so each cycle appears once.
-    Fine for the small graphs this library targets.
+    Iterative DFS from each cycle vertex in document order, forbidding
+    revisits and restricted to vertices after the start that can get back
+    to it through such vertices, so each cycle appears once.  Only graphs
+    that fail the growth test need this.
     """
-    order = {v: i for i, v in enumerate(g.vertices)}
+    order = g._adjacency().position
     cycles = []
-
-    def walk(start, current, path, visited):
-        for eid in g.out_edges(current):
-            nxt = g.range(eid)
-            if nxt == start:
-                cycles.append(Cycle(tuple(path + [eid])))
-            elif nxt not in visited and order[nxt] > order[start]:
-                visited.add(nxt)
-                walk(start, nxt, path + [eid], visited)
-                visited.remove(nxt)
-
-    for v in g.vertices:
-        walk(v, v, [], {v})
+    for start in sorted(g._components().on_cycle, key=order.get):
+        live = _reaching(g, {start}, lambda v: order[v] > order[start])
+        path, visited = [], {start}
+        work = [iter(g.out_edges(start))]
+        while work:
+            for eid in work[-1]:
+                nxt = g.range(eid)
+                if nxt == start:
+                    cycles.append(Cycle(tuple(path) + (eid,)))
+                elif nxt in live and nxt not in visited:
+                    visited.add(nxt)
+                    path.append(eid)
+                    work.append(iter(g.out_edges(nxt)))
+                    break
+            else:
+                work.pop()
+                if path:
+                    visited.remove(g.range(path.pop()))
     return cycles
 
 
 def analyze(g):
-    """Sinks, cycles, exits, NE cycles, growth verdict, cycle reachability."""
-    cycles = _simple_cycles(g)
-    vsets = [set(c.vertices(g)) for c in cycles]
-    growth = True
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            if vsets[i] & vsets[j]:
-                growth = False
-    exits = {}
-    for c, vs in zip(cycles, vsets):
-        on_cycle = set(c.edges)
-        exits[c] = [
-            eid for eid, s, _ in g.edges if s in vs and eid not in on_cycle
-        ]
-    ne = [c for c in cycles if not exits[c]]
-    reach = _reachability(g)
-    creach = set()
+    """Sinks, cycles, exits, NE cycles, growth verdict and vertex levels.
+
+    A vertex has level 0 if it reaches no cycle, and otherwise the largest
+    height among the cycles it reaches; a cycle's height is 1 plus the
+    largest height among the other cycles it reaches (1 if none).  Stage k
+    of the ideal chain is the quotient by the vertices of level < k.
+
+    Cycles come from the components when the growth test passes; otherwise
+    every simple cycle is enumerated, which is exponential by nature.
+    """
+    comps = g._components()
+    cycles = list(comps.cycles) if comps.growth else _simple_cycles(g)
+    through = {}
     for i, c in enumerate(cycles):
-        for j, c2 in enumerate(cycles):
-            if i == j:
-                continue
-            if any(w in reach[v] for v in vsets[i] for w in vsets[j]):
-                creach.add((c, c2))
+        for v in c.vertices(g):
+            through.setdefault(v, []).append(i)
+    on_cycle = [set(c.edges) for c in cycles]
+    exit_lists = [[] for _ in cycles]
+    for eid, s, _ in g.edges:
+        for i in through.get(s, ()):
+            if eid not in on_cycle[i]:
+                exit_lists[i].append(eid)
     return GraphAnalysis(
         sinks=g.sinks(),
         cycles=cycles,
-        polynomial_growth=growth,
-        exits=exits,
-        ne_cycles=ne,
-        cycle_reachability=creach,
+        polynomial_growth=comps.growth,
+        exits=dict(zip(cycles, exit_lists)),
+        ne_cycles=[c for c, ex in zip(cycles, exit_lists) if not ex],
+        level=dict(comps.level),
     )
 
 
-def _reachability(g):
-    """reach[v] = set of vertices reachable from v (v included)."""
-    adj = {v: set() for v in g.vertices}
-    for _, s, r in g.edges:
-        adj[s].add(r)
-    reach = {}
-    for v in g.vertices:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach[v] = seen
-    return reach
+def _require_growth(g):
+    """Raise NotPolynomialGrowth, with a witness pair, if g fails the test."""
+    if not g._components().growth:
+        raise NotPolynomialGrowth(*_pick_intersecting(analyze(g), g))
 
 
 def compute_V0(g):
     """Vertices from which no cycle vertex is reachable (self included)."""
-    cycle_vertices = set()
-    for c in _simple_cycles(g):
-        cycle_vertices.update(c.vertices(g))
-    reach = _reachability(g)
-    return {v for v in g.vertices if not (reach[v] & cycle_vertices)}
+    level = g._components().level
+    return {v for v in g.vertices if level[v] == 0}
 
 
 def compute_V1(g):
     """Vertices from which every reachable cycle is an NE cycle.
 
     Requires a sink-free polynomial-growth graph (the setting in which the
-    Laurent layer is extracted).
+    Laurent layer is extracted).  There the NE cycles are the cycles of
+    height 1, so these are the vertices of level <= 1.
     """
     if g.sinks():
         raise GraphError("graph has sinks: %s" % g.sinks())
-    an = analyze(g)
-    if not an.polynomial_growth:
-        raise NotPolynomialGrowth(*_pick_intersecting(an, g))
-    ne_vertices = set()
-    for c in an.ne_cycles:
-        ne_vertices.update(c.vertices(g))
-    other = set()
-    for c in an.cycles:
-        if c not in an.ne_cycles:
-            other.update(c.vertices(g))
-    reach = _reachability(g)
-    return {v for v in g.vertices if not (reach[v] & other)}
+    _require_growth(g)
+    level = g._components().level
+    return {v for v in g.vertices if level[v] <= 1}
 
 
 def quotient_graph(g, hereditary):
@@ -329,7 +422,7 @@ class InfiniteFamily:
     connecting_path: Path
 
 
-def entry_paths(g, cycle, cap=10000):
+def entry_paths(g, cycle, cap=ENTRY_PATH_CAP):
     """Paths q with r(q) on the NE cycle, meeting the cycle only at r(q).
 
     These index the distinct minimal idempotents over the cycle.  If some
@@ -341,29 +434,39 @@ def entry_paths(g, cycle, cap=10000):
         raise GraphError("not an NE cycle: %s" % (cycle.edges,))
     if not an.polynomial_growth:
         raise NotPolynomialGrowth(*_pick_intersecting(an, g))
+    return _entry_family(g, cycle, cap)
+
+
+def _entry_family(g, cycle, cap=ENTRY_PATH_CAP):
+    """entry_paths for an NE cycle of a polynomial-growth graph."""
+    comps = g._components()
     cyc_vs = set(cycle.vertices(g))
-    # another cycle reaching this one => infinite family
-    for other in an.cycles:
-        if other == cycle:
-            continue
-        if (other, cycle) in an.cycle_reachability:
-            path = _connecting_path(g, set(other.vertices(g)), cyc_vs)
-            return InfiniteFamily(other, path)
+    # the first other cycle (in cycle order) reaching this one => infinite
+    reaching = {comps.cycle_at[v] for v in _reaching(g, cyc_vs) if v in comps.cycle_at}
+    reaching.discard(comps.cycle_at[cycle.vertices(g)[0]])
+    if reaching:
+        other = comps.cycles[min(reaching)]
+        path = _connecting_path(g, set(other.vertices(g)), cyc_vs)
+        return InfiniteFamily(other, path)
     # finite: walk backwards from cycle vertices through off-cycle vertices
-    result = [Path(v) for v in cycle.vertices(g)]
+    return _paths_into(g, cycle.vertices(g), cyc_vs, cap)
+
+
+def _paths_into(g, ends, avoid, cap):
+    """Paths ending in `ends`, shortest first, grown backwards along edges
+    whose source is not in `avoid`; more than `cap` of them is an error."""
+    result = [Path(v) for v in ends]
     frontier = list(result)
     while frontier:
         if len(result) > cap:
             raise GraphError("entry path enumeration exceeded cap %d" % cap)
-        nxt = []
-        for p in frontier:
-            v = p.source(g)
-            for eid, s, r in g.edges:
-                if r == v and s not in cyc_vs:
-                    q = Path(p.base, (eid,) + p.edges)
-                    nxt.append(q)
-                    result.append(q)
-        frontier = nxt
+        frontier = [
+            Path(p.base, (eid,) + p.edges)
+            for p in frontier
+            for eid in g.in_edges(p.source(g))
+            if g.source(eid) not in avoid
+        ]
+        result.extend(frontier)
     return result
 
 
@@ -376,74 +479,61 @@ def _pick_intersecting(an, g):
     raise AssertionError
 
 
+def _reaching(g, targets, keep=None):
+    """Vertices with a path (trivial included) ending in `targets`, through
+    vertices accepted by `keep` (all by default)."""
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for eid in g.in_edges(stack.pop()):
+            s = g.source(eid)
+            if s not in seen and (keep is None or keep(s)):
+                seen.add(s)
+                stack.append(s)
+    return seen
+
+
 def _connecting_path(g, from_vs, to_vs):
     """Shortest path starting in from_vs and ending in to_vs (BFS)."""
     from collections import deque
 
-    queue = deque(Path(v) for v in sorted(from_vs, key=g.vertex_index))
-    seen = set(from_vs)
+    starts = sorted(from_vs, key=g.vertex_index)
+    reached_by = dict.fromkeys(starts)  # vertex -> edge first reaching it
+    queue = deque(starts)
     while queue:
-        p = queue.popleft()
-        v = p.range(g)
+        v = queue.popleft()
         if v in to_vs:
-            return p
+            edges = []
+            while reached_by[v] is not None:
+                edges.append(reached_by[v])
+                v = g.source(reached_by[v])
+            return Path(v, tuple(reversed(edges)))
         for eid in g.out_edges(v):
             r = g.range(eid)
-            if r not in seen:
-                seen.add(r)
-                queue.append(Path(p.base, p.edges + (eid,)))
+            if r not in reached_by:
+                reached_by[r] = eid
+                queue.append(r)
     raise AssertionError("no connecting path despite reachability")
 
 
 def count_paths_to_sink(g, v):
     """Number of paths ending at sink v (trivial path included), or Infinite."""
-    if not g.is_sink(v):
+    comps = g._components()
+    if v not in comps.rank or not g.is_sink(v):
         raise GraphError("%r is not a sink" % v)
-    cycle_vertices = set()
-    for c in _simple_cycles(g):
-        cycle_vertices.update(c.vertices(g))
-    # backward reachability from v
-    back = {v}
-    changed = True
-    while changed:
-        changed = False
-        for eid, s, r in g.edges:
-            if r in back and s not in back:
-                back.add(s)
-                changed = True
-    if back & cycle_vertices:
+    back = _reaching(g, {v})
+    if not back.isdisjoint(comps.on_cycle):
         return INFINITE
-    # acyclic feeding region: paths_to[u] = number of paths from u to v
-    paths_to = {v: 1}
-
-    def npaths(u):
-        if u in paths_to:
-            return paths_to[u]
-        n = 0
-        for eid in g.out_edges(u):
-            r = g.range(eid)
-            if r in back:
-                n += npaths(r)
-        paths_to[u] = n
-        return n
-
-    return sum(npaths(u) for u in back)
+    # acyclic feeding region, predecessors first (Tarjan's order reversed)
+    ending = {}  # u -> number of paths ending at u
+    for u in sorted(back, key=comps.rank.__getitem__, reverse=True):
+        ending[u] = 1 + sum(ending[g.source(e)] for e in g.in_edges(u))
+    return ending[v]
 
 
 def all_paths_to_sink(g, v):
     """The actual paths ending at sink v; requires a finite count."""
-    if count_paths_to_sink(g, v) == INFINITE:
+    count = count_paths_to_sink(g, v)
+    if count == INFINITE:
         raise GraphError("infinitely many paths end at %r" % v)
-    result = [Path(v)]
-    frontier = [Path(v)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            u = p.source(g)
-            for eid, s, r in g.edges:
-                if r == u:
-                    q = Path(p.base, (eid,) + p.edges)
-                    nxt.append(q)
-                    result.append(q)
-        frontier = nxt
-    return result
+    return _paths_into(g, [v], (), count)

@@ -36,7 +36,6 @@ class FactorDescriptor:
     kind: str
     anchor: str  # sink id, or the first edge id of the NE cycle
     size: int | None = None
-    index_set: list | None = None  # paths, finite case
     witness: object = None  # InfiniteFamily or witness cycle, infinite case
 
     def to_dict(self):
@@ -60,26 +59,16 @@ class StructureReport:
         }
 
 
-def _require_growth(g):
-    an = gr.analyze(g)
-    if not an.polynomial_growth:
-        raise gr.NotPolynomialGrowth(*gr._pick_intersecting(an, g))
-    return an
-
-
 def socle_layer(g):
     """One factor per sink: M_k(F) with k the path count, or M_inf(F)."""
-    _require_growth(g)
+    gr._require_growth(g)
     factors = []
     for v in g.sinks():
         count = gr.count_paths_to_sink(g, v)
         if count == gr.INFINITE:
             factors.append(FactorDescriptor(MAT_INF_F, anchor=v))
         else:
-            paths = gr.all_paths_to_sink(g, v)
-            factors.append(
-                FactorDescriptor(MAT_F, anchor=v, size=count, index_set=paths)
-            )
+            factors.append(FactorDescriptor(MAT_F, anchor=v, size=count))
     return factors
 
 
@@ -87,40 +76,39 @@ def ne_layer(g):
     """One factor per NE cycle of a sink-free polynomial-growth graph."""
     if g.sinks():
         raise gr.GraphError("graph has sinks: %s" % g.sinks())
-    an = _require_growth(g)
+    gr._require_growth(g)
+    an = gr.analyze(g)
     if not an.ne_cycles:
         # impossible for a nonempty sink-free polynomial-growth graph
         raise AssertionError("sink-free polynomial-growth graph without NE cycle")
-    factors = []
-    for c in an.ne_cycles:
-        fam = gr.entry_paths(g, c)
-        anchor = c.edges[0]
-        if isinstance(fam, gr.InfiniteFamily):
-            factors.append(
-                FactorDescriptor(MAT_INF_LAURENT, anchor=anchor, witness=fam)
-            )
-        else:
-            factors.append(
-                FactorDescriptor(
-                    MAT_LAURENT, anchor=anchor, size=len(fam), index_set=fam
-                )
-            )
-    return factors
+    return [_ne_factor(g, c) for c in an.ne_cycles]
+
+
+def _ne_factor(g, cycle):
+    fam = gr._entry_family(g, cycle)
+    if isinstance(fam, gr.InfiniteFamily):
+        return FactorDescriptor(MAT_INF_LAURENT, anchor=cycle.edges[0], witness=fam)
+    return FactorDescriptor(MAT_LAURENT, anchor=cycle.edges[0], size=len(fam))
 
 
 def ideal_chain(g):
-    """The full chain: socle layer, then NE stages until the graph is gone."""
-    _require_growth(g)
+    """The full chain: socle layer, then NE stages until the graph is gone.
+
+    Stage k is the quotient by the vertices of level < k (see
+    graphs.analyze); its NE cycles are the cycles of height k.  Every
+    vertex reaching such a cycle has level >= k, so its entry family is
+    the same in the input as in the stage, and the input is analysed once.
+    """
+    gr._require_growth(g)
+    an = gr.analyze(g)
     layers = [socle_layer(g)]
     stages = [g]
-    current = gr.quotient_graph(g, gr.compute_V0(g))
-    ne_stages = 0
-    while current is not None:
-        stages.append(current)
-        layers.append(ne_layer(current))
-        ne_stages += 1
-        current = gr.quotient_graph(current, gr.compute_V1(current))
-    return StructureReport(layers=layers, stages=stages, s=ne_stages)
+    for k in range(1, max(an.level.values()) + 1):
+        stages.append(gr.quotient_graph(g, [v for v in g.vertices if an.level[v] < k]))
+        layers.append(
+            [_ne_factor(g, c) for c in an.cycles if an.level[g.source(c.edges[0])] == k]
+        )
+    return StructureReport(layers=layers, stages=stages, s=len(stages) - 1)
 
 
 @dataclass

@@ -71,6 +71,32 @@ def test_socle_sizes_match_path_enumeration():
         assert by_anchor[sink].size == len(all_paths_to_sink(g, sink))
 
 
+def test_socle_counts_without_enumerating_paths(monkeypatch):
+    """16 diamonds in a row: 2^18 - 3 paths end at the sink, none is built."""
+    import time
+
+    from leavitt import graphs as gr
+
+    k = 16
+    vs = ["a0"]
+    edges = []
+    for i in range(1, k + 1):
+        a, b, c, a2 = vs[-1], "b%d" % i, "c%d" % i, "a%d" % i
+        vs += [b, c, a2]
+        edges += [("p%d" % i, a, b), ("q%d" % i, a, c)]
+        edges += [("r%d" % i, b, a2), ("s%d" % i, c, a2)]
+    g = gr.Graph(tuple(vs), tuple(edges))
+
+    def no_enumeration(*args):
+        raise AssertionError("paths enumerated")
+
+    monkeypatch.setattr(gr, "all_paths_to_sink", no_enumeration)
+    start = time.perf_counter()
+    report = ideal_chain(g)
+    assert time.perf_counter() - start < 1.0
+    assert _shape(report) == [[(MAT_F, 2 ** (k + 2) - 3)]]
+
+
 def test_ne_sizes_match_entry_paths():
     from leavitt.graphs import analyze, entry_paths
 
