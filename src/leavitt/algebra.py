@@ -16,7 +16,7 @@ independent, which the test suite checks by rank computations.
 from __future__ import annotations
 
 from .graphs import Path, GraphError
-from .linalg import SpanBasis
+from .linalg import SpanBasis, accumulate
 
 __all__ = [
     "Monomial",
@@ -113,11 +113,7 @@ class AlgebraElement:
         self._compat(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            acc = terms.get(m, self.field.zero()) + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
+            accumulate(terms, m, c)
         return AlgebraElement(self.graph, self.field, terms)
 
     def __sub__(self, other):
@@ -144,12 +140,7 @@ class AlgebraElement:
                     continue
                 c = c1 * c2
                 for sign, m in _normalize_monomial(g, *raw):
-                    coeff = c if sign > 0 else -c
-                    acc = out.get(m, self.field.zero()) + coeff
-                    if acc:
-                        out[m] = acc
-                    else:
-                        out.pop(m, None)
+                    accumulate(out, m, c if sign > 0 else -c)
         return AlgebraElement(self.graph, self.field, out)
 
     def __eq__(self, other):
@@ -279,14 +270,9 @@ def monomial_element(g, field, p, q):
     """Element p q* from two Path objects with matching ranges, normalized."""
     if p.range(g) != q.range(g):
         raise AlgebraError("paths %s and %s have different ranges" % (p, q))
-    out = {}
+    one, out = field.one(), {}
     for sign, m in _normalize_monomial(g, p.edges, q.edges, p.range(g)):
-        c = field.one() if sign > 0 else -field.one()
-        acc = out.get(m, field.zero()) + c
-        if acc:
-            out[m] = acc
-        else:
-            out.pop(m, None)
+        accumulate(out, m, one if sign > 0 else -one)
     return AlgebraElement(g, field, out)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .fields import NoSquareRoot
 from .jacobson import AlmostToeplitzMatrix, invert_id_plus_finitary
+from .linalg import accumulate
 
 __all__ = [
     "ToeplitzAutomorphism",
@@ -122,10 +123,6 @@ def induced_scalar(phi):
     return a
 
 
-def matrix_unit(field, i, j):
-    return AlmostToeplitzMatrix.unit(field, i, j)
-
-
 def reconstruct_conjugator(field, images, m):
     """Recover the conjugator from the images of e_j1 and e_1j, j <= m.
 
@@ -155,86 +152,51 @@ def reconstruct_conjugator(field, images, m):
     cols = {}
     for (i, j), c in e11_img.finitary.items():
         cols.setdefault(j, {})[i] = c
-    w = None
-    for j in sorted(cols):
-        if any(c for c in cols[j].values()):
-            w = cols[j]
-            break
-    if w is None:
+    if not cols:
         raise AutomorphismError("no fixed vector for the corner idempotent")
+    w = cols[min(cols)]
     # columns of M: M eps_j = phi(e_j1) w; then phi(a) = M a M^-1 and the
     # conjugator in the orientation phi(a) = S^-1 a S is M^-1
-    n = m
-    col_vectors = {}
+    fin = {}
     for j in range(1, m + 1):
-        img = images[("col", j)]
         vec = {}
-        for (r, c), coeff in img.finitary.items():
+        for (r, c), coeff in images[("col", j)].finitary.items():
             if c in w:
-                acc = vec.get(r, field.zero()) + coeff * w[c]
-                if acc:
-                    vec[r] = acc
-                else:
-                    vec.pop(r, None)
+                accumulate(vec, r, coeff * w[c])
         if not vec:
             raise AutomorphismError("degenerate image of e_%d1" % j)
-        col_vectors[j] = vec
-        n = max(n, max(vec))
+        fin.update(((r, j), c) for r, c in vec.items())
     # beyond the given corner the conjugator is assumed scalar; infer the
     # scalar from the deepest available diagonal entry
-    lam = col_vectors[m].get(m)
-    if lam is None or not lam:
+    lam = fin.get((m, m))
+    if not lam:
         raise AutomorphismError(
             "corner too small: column %d has no diagonal entry" % m
         )
-    fin = {}
-    for j, vec in col_vectors.items():
-        for i, c in vec.items():
-            fin[(i, j)] = c
-    M = AlmostToeplitzMatrix(field, band={0: lam})
-    for (i, j), c in fin.items():
-        d = c - (lam if i == j else field.zero())
-        if d:
-            M = M + AlmostToeplitzMatrix.unit(field, i, j, d)
-    M_scaled = M.scale(field.inv(lam))
+    # M = lam Id + finitary: columns 1..m are exactly the vectors above
+    for j in range(1, m + 1):
+        accumulate(fin, (j, j), -lam)
+    M_scaled = AlmostToeplitzMatrix(field, fin, {0: lam}).scale(field.inv(lam))
     S = invert_id_plus_finitary(M_scaled)
     if S is None:
         raise AutomorphismError("reconstructed conjugator is singular")
     # gauge: first nonzero entry of the first column equals 1
-    first_col = {}
-    for (i, j), c in S.finitary.items():
-        if j == 1:
-            first_col[i] = first_col.get(i, field.zero()) + c
-    first_col[1] = first_col.get(1, field.zero()) + S.band.get(0, field.zero())
-    pivot = next(
-        (first_col[i] for i in sorted(first_col) if first_col[i]), None
-    )
-    if pivot is None:
+    first_col = {i: c for (i, j), c in S.finitary.items() if j == 1}
+    accumulate(first_col, 1, S.band[0])
+    if not first_col:
         raise AutomorphismError("reconstructed conjugator has a zero column")
+    pivot = first_col[min(first_col)]
     S = S.scale(field.inv(pivot))
-    # verify on the corner
-    S_inv = _invert_scalar_plus_finitary(S)
+    # verify on the corner; S is (M / lam)^-1 / pivot, so S^-1 needs no solve
+    S_inv = M_scaled.scale(pivot)
     for i in range(1, m + 1):
-        expected = S_inv * matrix_unit(field, i, 1) * S
+        expected = S_inv * AlmostToeplitzMatrix.unit(field, i, 1) * S
         if expected != images[("col", i)]:
             raise AutomorphismError("reconstruction failed on e_%d1" % i)
-        expected = S_inv * matrix_unit(field, 1, i) * S
+        expected = S_inv * AlmostToeplitzMatrix.unit(field, 1, i) * S
         if expected != images[("row", i)]:
             raise AutomorphismError("reconstruction failed on e_1%d" % i)
     return S
-
-
-def _invert_scalar_plus_finitary(m):
-    """Inverse of alpha Id + finitary for nonzero alpha."""
-    field = m.field
-    alpha = m.band.get(0)
-    if not alpha:
-        raise AutomorphismError("not of the form alpha Id + finitary")
-    scaled = m.scale(field.inv(alpha))
-    inv = invert_id_plus_finitary(scaled)
-    if inv is None:
-        raise AutomorphismError("matrix is singular")
-    return inv.scale(field.inv(alpha))
 
 
 @dataclass(frozen=True)
@@ -248,7 +210,7 @@ class Involution:
             raise AutomorphismError("T must be alpha Id + finitary")
         if not self.T.is_symmetric():
             raise AutomorphismError("T must be symmetric")
-        if _try_invert(self.T) is None:
+        if invert_id_plus_finitary(self.T) is None:
             raise AutomorphismError("T is singular")
 
     @classmethod
@@ -256,15 +218,8 @@ class Involution:
         return cls(AlmostToeplitzMatrix.identity(field))
 
 
-def _try_invert(t):
-    try:
-        return _invert_scalar_plus_finitary(t)
-    except AutomorphismError:
-        return None
-
-
 def involution_apply(iota, a):
-    t_inv = _invert_scalar_plus_finitary(iota.T)
+    t_inv = invert_id_plus_finitary(iota.T)
     return t_inv * a.transpose() * iota.T
 
 
@@ -294,7 +249,6 @@ def congruence_decompose(T):
     M = [[T.entry(i, j) * inv_alpha for j in range(1, n + 1)] for i in range(1, n + 1)]
     remaining = list(range(n))
     q_rows = []
-    zero = field.zero()
     while remaining:
         pivot = next((i for i in remaining if M[i][i]), None)
         if pivot is None:
@@ -314,17 +268,13 @@ def congruence_decompose(T):
                 for j in remaining:
                     M[i][j] = M[i][j] - c * M[pivot][j]
     # assemble: Q_block rows stacked in pivot order, block embedded in Id
-    blk = {}
+    fin = {}
     for r, row in enumerate(q_rows, start=1):
         for j, c in row.items():
-            blk[(r, j + 1)] = c
-    fin = {}
+            fin[(r, j + 1)] = c
     one = field.one()
     for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            d = blk.get((i, j), zero) - (one if i == j else zero)
-            if d:
-                fin[(i, j)] = d
+        accumulate(fin, (i, i), -one)
     Q = AlmostToeplitzMatrix(field, fin, band={0: one}).scale(sqrt_alpha)
     assert Q.transpose() * Q == T, "congruence decomposition must be exact"
     return Q

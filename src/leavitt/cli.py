@@ -191,6 +191,13 @@ def cmd_toeplitz_involution(args):
     return EXIT_OK
 
 
+def natural(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="leavitt",
@@ -227,15 +234,16 @@ def build_parser():
     q.add_argument("--b1", default="x", help="candidate mapping to t^-1")
     q.add_argument("--bm1", default="y", help="candidate mapping to t")
     q.add_argument("--b0", default="1", help="candidate identity")
-    q.add_argument("-n", "--truncation", type=int, default=8)
+    q.add_argument("-n", "--truncation", type=natural, default=8)
     q.add_argument("--field", default="Q")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_toeplitz_probe)
 
     q = tsub.add_parser("aut", help="compose or apply automorphisms")
     q.add_argument("files", nargs="+", help="automorphism JSON file(s)")
-    q.add_argument("--compose", action="store_true")
-    q.add_argument("--apply", metavar="TARGET", help="c, c*, or 'e i j'")
+    mode = q.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--compose", action="store_true", help="compose the first two")
+    mode.add_argument("--apply", metavar="TARGET", help="c, c*, or 'e i j'")
     q.add_argument("--field", default="Q")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_toeplitz_aut)
@@ -252,6 +260,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "compose", False) and len(args.files) < 2:
+        parser.error("argument --compose: needs two automorphism files")
     try:
         return args.func(args)
     except gr.NotPolynomialGrowth as exc:

@@ -219,16 +219,25 @@ class GraphAnalysis:
     level: dict = field(default_factory=dict)  # vertex -> level
 
 
+def _id(value, what):
+    if not isinstance(value, str) or not value:
+        raise GraphError("%s %r is not a non-empty string" % (what, value))
+    return value
+
+
 def graph_from_dict(doc):
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise GraphError("graph document needs 'vertices' and 'edges'")
+    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+        raise GraphError("graph 'vertices' and 'edges' must be lists")
+    vertices = tuple(_id(v, "vertex id") for v in doc["vertices"])
     edges = []
     for e in doc["edges"]:
         try:
-            edges.append((e["id"], e["source"], e["range"]))
+            edges.append(tuple(_id(e[k], "edge " + k) for k in ("id", "source", "range")))
         except (TypeError, KeyError) as exc:
             raise GraphError("bad edge record %r" % (e,)) from exc
-    return Graph(tuple(doc["vertices"]), tuple(edges))
+    return Graph(vertices, tuple(edges))
 
 
 def load_graph(path_or_file):
@@ -434,22 +443,22 @@ def entry_paths(g, cycle, cap=ENTRY_PATH_CAP):
         raise GraphError("not an NE cycle: %s" % (cycle.edges,))
     if not an.polynomial_growth:
         raise NotPolynomialGrowth(*_pick_intersecting(an, g))
-    return _entry_family(g, cycle, cap)
+    vs = cycle.vertices(g)
+    return _entry_witness(g, cycle) or _paths_into(g, vs, set(vs), cap)
 
 
-def _entry_family(g, cycle, cap=ENTRY_PATH_CAP):
-    """entry_paths for an NE cycle of a polynomial-growth graph."""
+def _entry_witness(g, cycle):
+    """For an NE cycle of a polynomial-growth graph: an InfiniteFamily from
+    the first other cycle (in cycle order) reaching it, or None if none
+    does and its entry paths are finitely many."""
     comps = g._components()
     cyc_vs = set(cycle.vertices(g))
-    # the first other cycle (in cycle order) reaching this one => infinite
     reaching = {comps.cycle_at[v] for v in _reaching(g, cyc_vs) if v in comps.cycle_at}
     reaching.discard(comps.cycle_at[cycle.vertices(g)[0]])
-    if reaching:
-        other = comps.cycles[min(reaching)]
-        path = _connecting_path(g, set(other.vertices(g)), cyc_vs)
-        return InfiniteFamily(other, path)
-    # finite: walk backwards from cycle vertices through off-cycle vertices
-    return _paths_into(g, cycle.vertices(g), cyc_vs, cap)
+    if not reaching:
+        return None
+    other = comps.cycles[min(reaching)]
+    return InfiniteFamily(other, _connecting_path(g, set(other.vertices(g)), cyc_vs))
 
 
 def _paths_into(g, ends, avoid, cap):
@@ -516,19 +525,26 @@ def _connecting_path(g, from_vs, to_vs):
     raise AssertionError("no connecting path despite reachability")
 
 
-def count_paths_to_sink(g, v):
-    """Number of paths ending at sink v (trivial path included), or Infinite."""
+def _count_paths_into(g, ends, avoid=()):
+    """len(_paths_into(g, ends, avoid, cap)) without listing the paths, or
+    Infinite if a cycle outside `avoid` feeds them."""
     comps = g._components()
-    if v not in comps.rank or not g.is_sink(v):
-        raise GraphError("%r is not a sink" % v)
-    back = _reaching(g, {v})
-    if not back.isdisjoint(comps.on_cycle):
+    back = _reaching(g, ends, lambda s: s not in avoid)
+    if not back.difference(avoid).isdisjoint(comps.on_cycle):
         return INFINITE
     # acyclic feeding region, predecessors first (Tarjan's order reversed)
     ending = {}  # u -> number of paths ending at u
     for u in sorted(back, key=comps.rank.__getitem__, reverse=True):
-        ending[u] = 1 + sum(ending[g.source(e)] for e in g.in_edges(u))
-    return ending[v]
+        feeders = (g.source(e) for e in g.in_edges(u))
+        ending[u] = 1 + sum(ending[s] for s in feeders if s not in avoid)
+    return sum(ending[v] for v in ends)
+
+
+def count_paths_to_sink(g, v):
+    """Number of paths ending at sink v (trivial path included), or Infinite."""
+    if v not in g._components().rank or not g.is_sink(v):
+        raise GraphError("%r is not a sink" % v)
+    return _count_paths_into(g, [v])
 
 
 def all_paths_to_sink(g, v):

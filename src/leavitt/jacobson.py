@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import SpanBasis, invert_block
+from .linalg import SpanBasis, accumulate, invert_block
 
 __all__ = [
     "JacobsonElement",
@@ -56,11 +56,7 @@ class JacobsonElement:
         self._compat(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            acc = out.get(k, self.field.zero()) + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
+            accumulate(out, k, c)
         return JacobsonElement(self.field, out)
 
     def __neg__(self):
@@ -75,12 +71,7 @@ class JacobsonElement:
         out = {}
         for (i, j), c1 in self.terms.items():
             for (k, l), c2 in other.terms.items():
-                key = (i + max(0, k - j), l + max(0, j - k))
-                acc = out.get(key, self.field.zero()) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                accumulate(out, (i + max(0, k - j), l + max(0, j - k)), c1 * c2)
         return JacobsonElement(self.field, out)
 
     def scale(self, scalar):
@@ -247,6 +238,8 @@ class AlmostToeplitzMatrix:
 
     @classmethod
     def unit(cls, field, i, j, coeff=None):
+        if i < 1 or j < 1:
+            raise JacobsonError("matrix unit indices must be >= 1")
         return cls(field, finitary={(i, j): coeff if coeff is not None else field.one()})
 
     @classmethod
@@ -275,20 +268,10 @@ class AlmostToeplitzMatrix:
 
     def __add__(self, other):
         self._compat(other)
-        fin = dict(self.finitary)
-        for k, c in other.finitary.items():
-            acc = fin.get(k, self.field.zero()) + c
-            if acc:
-                fin[k] = acc
-            else:
-                fin.pop(k, None)
-        band = dict(self.band)
-        for k, c in other.band.items():
-            acc = band.get(k, self.field.zero()) + c
-            if acc:
-                band[k] = acc
-            else:
-                band.pop(k, None)
+        fin, band = dict(self.finitary), dict(self.band)
+        for out, terms in ((fin, other.finitary), (band, other.band)):
+            for k, c in terms.items():
+                accumulate(out, k, c)
         return AlmostToeplitzMatrix(self.field, fin, band)
 
     def __neg__(self):
@@ -310,49 +293,34 @@ class AlmostToeplitzMatrix:
 
     def __mul__(self, other):
         self._compat(other)
-        zero = self.field.zero()
         fin = {}
         band = {}
-
-        def fadd(key, c):
-            acc = fin.get(key, zero) + c
-            if acc:
-                fin[key] = acc
-            else:
-                fin.pop(key, None)
-
         # band x band: c^(k) c^(l) = c^(k+l) minus the rows whose middle
         # index i + k would fall below 1
         for k, c1 in self.band.items():
             for l, c2 in other.band.items():
                 c = c1 * c2
-                key = k + l
-                acc = band.get(key, zero) + c
-                if acc:
-                    band[key] = acc
-                else:
-                    band.pop(key, None)
+                accumulate(band, k + l, c)
                 if k < 0:
-                    lo = max(1, 1 - (k + l))
-                    for i in range(lo, -k + 1):
-                        fadd((i, i + k + l), -c)
+                    for i in range(max(1, 1 - (k + l)), -k + 1):
+                        accumulate(fin, (i, i + k + l), -c)
         # band x finitary: c^(k) e_ab = e_{a-k, b}
         for k, c1 in self.band.items():
             for (a, b), c2 in other.finitary.items():
                 if a - k >= 1:
-                    fadd((a - k, b), c1 * c2)
+                    accumulate(fin, (a - k, b), c1 * c2)
         # finitary x band: e_ab c^(k) = e_{a, b+k}
         for (a, b), c1 in self.finitary.items():
             for k, c2 in other.band.items():
                 if b + k >= 1:
-                    fadd((a, b + k), c1 * c2)
+                    accumulate(fin, (a, b + k), c1 * c2)
         # finitary x finitary
         cols = {}
         for (a, b), c in other.finitary.items():
             cols.setdefault(a, []).append((b, c))
         for (a, b), c1 in self.finitary.items():
             for (b2, c2) in cols.get(b, []):
-                fadd((a, b2), c1 * c2)
+                accumulate(fin, (a, b2), c1 * c2)
         return AlmostToeplitzMatrix(self.field, fin, band)
 
     def transpose(self):
@@ -462,10 +430,10 @@ def jac_quotient_laurent(a):
     """Quotient map y -> t, x -> t^-1 onto F[t, t^-1]."""
     from .laurent import LaurentPoly
 
-    out = LaurentPoly.zero(a.field)
+    out = {}
     for (i, j), c in a.terms.items():
-        out = out + LaurentPoly.monomial(a.field, i - j, c)
-    return out
+        accumulate(out, i - j, c)
+    return LaurentPoly(a.field, out)
 
 
 def matrix_to_jacobson(field, fin):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from . import algebra as alg
 from .graphs import GraphError, Path
+from .linalg import accumulate
 
 __all__ = [
     "LaurentPoly",
@@ -47,11 +48,7 @@ class LaurentPoly:
         self._compat(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            acc = out.get(e, self.field.zero()) + c
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
+            accumulate(out, e, c)
         return LaurentPoly(self.field, out)
 
     def __neg__(self):
@@ -65,12 +62,7 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                acc = out.get(e, self.field.zero()) + c1 * c2
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
+                accumulate(out, e1 + e2, c1 * c2)
         return LaurentPoly(self.field, out)
 
     def scale(self, scalar):
@@ -160,13 +152,11 @@ class LaurentMatrix:
                 out.entries[i][j] = self.entries[i][j] + other.entries[i][j]
         return out
 
+    def __neg__(self):
+        return LaurentMatrix(self.field, self.d, [[-e for e in r] for r in self.entries])
+
     def __sub__(self, other):
-        self._compat(other)
-        out = LaurentMatrix(self.field, self.d)
-        for i in range(self.d):
-            for j in range(self.d):
-                out.entries[i][j] = self.entries[i][j] - other.entries[i][j]
-        return out
+        return self + (-other)
 
     def __mul__(self, other):
         self._compat(other)

@@ -2,11 +2,24 @@
 
 Rows are dicts mapping arbitrary hashable coordinates to nonzero Scalars.
 Used for span dimensions, basis extraction and finite-block inversion.
+`accumulate` is the one sparse update every coefficient dict in the
+package goes through, so no dict ever stores a zero.
 """
 
 from __future__ import annotations
 
-__all__ = ["SpanBasis", "span_rank", "invert_block"]
+__all__ = ["accumulate", "SpanBasis", "span_rank", "invert_block"]
+
+
+def accumulate(out, key, c):
+    """out[key] += c for a nonzero c; the key is dropped when the sum cancels."""
+    old = out.get(key)
+    if old is not None:
+        c = old + c
+        if not c:
+            del out[key]
+            return
+    out[key] = c
 
 
 class SpanBasis:
@@ -25,13 +38,9 @@ class SpanBasis:
             hit = next((c for c in row if c in self.pivots), None)
             if hit is None:
                 break
-            c = row[hit]
+            c = -row[hit]
             for k, v in self.pivots[hit].items():
-                acc = row.get(k, self.field.zero()) - c * v
-                if acc:
-                    row[k] = acc
-                else:
-                    row.pop(k, None)
+                accumulate(row, k, c * v)
         return row
 
     def add(self, row):

@@ -85,10 +85,12 @@ def ne_layer(g):
 
 
 def _ne_factor(g, cycle):
-    fam = gr._entry_family(g, cycle)
-    if isinstance(fam, gr.InfiniteFamily):
+    fam = gr._entry_witness(g, cycle)
+    if fam:
         return FactorDescriptor(MAT_INF_LAURENT, anchor=cycle.edges[0], witness=fam)
-    return FactorDescriptor(MAT_LAURENT, anchor=cycle.edges[0], size=len(fam))
+    vs = cycle.vertices(g)
+    size = gr._count_paths_into(g, vs, set(vs))
+    return FactorDescriptor(MAT_LAURENT, anchor=cycle.edges[0], size=size)
 
 
 def ideal_chain(g):

@@ -23,7 +23,6 @@ from leavitt.automorphisms import (
     induced_scalar,
     involution_apply,
     involution_equivalence,
-    matrix_unit,
     reconstruct_conjugator,
 )
 from leavitt.fields import make_field
@@ -365,8 +364,8 @@ def test_criterion_10_automorphism_group():
         hidden_inv = invert_id_plus_finitary(hidden)
         images = {}
         for j in range(1, m + 1):
-            images[("col", j)] = hidden_inv * matrix_unit(field, j, 1) * hidden
-            images[("row", j)] = hidden_inv * matrix_unit(field, 1, j) * hidden
+            images[("col", j)] = hidden_inv * AlmostToeplitzMatrix.unit(field, j, 1) * hidden
+            images[("row", j)] = hidden_inv * AlmostToeplitzMatrix.unit(field, 1, j) * hidden
         S = reconstruct_conjugator(field, images, m)
         ratio = S * hidden_inv
         assert ratio.band.get(0) and not ratio.finitary

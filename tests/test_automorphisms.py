@@ -18,7 +18,6 @@ from leavitt.automorphisms import (
     induced_scalar,
     involution_apply,
     involution_equivalence,
-    matrix_unit,
     pi_conjugate,
     reconstruct_conjugator,
 )
@@ -121,8 +120,8 @@ def _hidden_images(field, S, m):
     S_inv = invert_id_plus_finitary(S)
     images = {}
     for j in range(1, m + 1):
-        images[("col", j)] = S_inv * matrix_unit(field, j, 1) * S
-        images[("row", j)] = S_inv * matrix_unit(field, 1, j) * S
+        images[("col", j)] = S_inv * AlmostToeplitzMatrix.unit(field, j, 1) * S
+        images[("row", j)] = S_inv * AlmostToeplitzMatrix.unit(field, 1, j) * S
     return images
 
 
@@ -140,6 +139,18 @@ def test_reconstruct_conjugator(fname):
         lam = ratio.band.get(0)
         assert lam
         assert not ratio.finitary
+
+
+def test_reconstruct_permutation_conjugator():
+    """A conjugator with zeros on the corner diagonal (a swap of 1 and 2)."""
+    field = make_field("Q")
+    one = field.one()
+    swap = AlmostToeplitzMatrix(
+        field, {(1, 1): -one, (2, 2): -one, (1, 2): one, (2, 1): one}, {0: one}
+    )
+    for m in (3, 4):
+        S = reconstruct_conjugator(field, _hidden_images(field, swap, m), m)
+        assert S == swap
 
 
 def test_reconstruct_rejects_bad_images():

@@ -150,3 +150,44 @@ def test_toeplitz_involution_capability_failure(tmp_path, capsys):
     )
     assert code == 5
     assert "square root" in err
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    return out.err
+
+
+def test_toeplitz_aut_needs_a_mode(tmp_path, capsys):
+    f = tmp_path / "phi.json"
+    f.write_text(json.dumps({"alpha": "1", "g": {"finitary": [[1, 2, "1"]]}}))
+    err = _usage_error(capsys, "toeplitz", "aut", str(f))
+    assert "--compose" in err and "--apply" in err
+    err = _usage_error(capsys, "toeplitz", "aut", str(f), "--compose")
+    assert "argument --compose" in err and "two" in err
+
+
+def test_toeplitz_probe_negative_truncation(capsys):
+    err = _usage_error(capsys, "toeplitz", "probe", "-n", "-3")
+    assert "argument -n/--truncation" in err and "-3" in err
+
+
+def test_toeplitz_aut_apply_rejects_index_zero(tmp_path, capsys):
+    f = tmp_path / "phi.json"
+    f.write_text(json.dumps({"alpha": "1", "g": {"finitary": [[1, 2, "1"]]}}))
+    code, out, err = run(capsys, "toeplitz", "aut", str(f), "--apply", "e 0 1")
+    assert code == 4
+    assert out == ""
+    assert "indices must be >= 1" in err
+
+
+def test_analyze_rejects_bad_ids(tmp_path, capsys):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"vertices": [["x"]], "edges": []}))
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert out == ""
+    assert "['x']" in err

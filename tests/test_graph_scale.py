@@ -3,7 +3,9 @@
 The graph layer is iterative throughout: a 10^5-vertex line and a
 10^5-vertex graph made of one cycle and a long tail go through analysis,
 path counting, the ideal chain and the CLI.  The cycle has 5000 vertices,
-five times the default recursion limit and under the entry-path cap.
+five times the default recursion limit and under the entry-path cap.  A
+cycle over the cap still gets its size: the chain counts entry paths and
+lists none.
 """
 
 import json
@@ -96,3 +98,18 @@ def test_long_cycle_with_chord(tmp_path, capsys):
     assert "growth is not polynomial" in captured.err
     with pytest.raises(gr.NotPolynomialGrowth):
         ideal_chain(gr.load_graph(path))
+
+
+def test_cycle_over_entry_path_cap(tmp_path, capsys):
+    n = gr.ENTRY_PATH_CAP + 1
+    vs = ["c%d" % i for i in range(n)]
+    edges = [("a%d" % i, vs[i], vs[(i + 1) % n]) for i in range(n)]
+    path = _write(tmp_path, vs, edges)
+    g = gr.load_graph(path)
+    with pytest.raises(gr.GraphError, match="exceeded cap"):
+        gr.entry_paths(g, gr.analyze(g).ne_cycles[0])
+    assert cli.main(["analyze", path, "--chain"]) == 0
+    out = capsys.readouterr().out
+    assert "  layer 1: M_%d(F[t,t^-1]) at cycle a0" % n in out.splitlines()
+    doc = _cli_json(["analyze", path, "--chain", "--json"], capsys)
+    assert doc["chain"]["layers"] == [[], [{"kind": MAT_LAURENT, "anchor": "a0", "size": n}]]

@@ -1,5 +1,7 @@
 """Graph loading, cycle analysis, V0/V1 layers, quotients, entry paths."""
 
+import re
+
 import pytest
 
 from leavitt.graphs import (
@@ -39,6 +41,25 @@ def test_load_validation():
                 ],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"vertices": [["x"]], "edges": []}, "['x']"),
+        ({"vertices": [""], "edges": []}, "''"),
+        ({"vertices": [7], "edges": []}, "7"),
+        ({"vertices": "ab", "edges": []}, "vertices"),
+        ({"vertices": ["v"], "edges": "e"}, "edges"),
+        ({"vertices": ["v"], "edges": [{"id": 3, "source": "v", "range": "v"}]}, "3"),
+        ({"vertices": ["v"], "edges": [{"id": "", "source": "v", "range": "v"}]}, "''"),
+        ({"vertices": ["v"], "edges": [{"id": "e", "source": ["v"], "range": "v"}]}, "['v']"),
+        ({"vertices": ["v"], "edges": [{"id": "e", "source": "v", "range": None}]}, "None"),
+    ],
+)
+def test_load_rejects_bad_ids(doc, named):
+    with pytest.raises(GraphError, match=re.escape(named)):
+        graph_from_dict(doc)
 
 
 def test_roundtrip(corpus):

@@ -202,6 +202,21 @@ def test_invert_id_plus_finitary(F):
     assert invert_id_plus_finitary(singular) is None
 
 
+def test_invert_scalar_plus_finitary(F):
+    three = F.from_int(3)
+    m = AlmostToeplitzMatrix.identity(F).scale(three) + AlmostToeplitzMatrix.unit(F, 2, 1)
+    inv = invert_id_plus_finitary(m)
+    assert inv.band == {0: F.inv(three)}
+    assert m * inv == inv * m == AlmostToeplitzMatrix.identity(F)
+
+
+def test_matrix_unit_indices_start_at_one(F):
+    assert AlmostToeplitzMatrix.unit(F, 1, 1).finitary == {(1, 1): F.one()}
+    for i, j in ((0, 1), (1, 0), (-2, 3)):
+        with pytest.raises(JacobsonError):
+            AlmostToeplitzMatrix.unit(F, i, j)
+
+
 def test_descent_plain(F):
     state = descent_measure(jac_matrix_unit(F, 3, 5), jac_x(F))
     assert state.measures == [3, 2, 1]

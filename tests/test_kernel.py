@@ -1,0 +1,136 @@
+"""The sparse accumulate-and-cancel kernel, checked from two sides.
+
+Equality of elements is equality of coefficient dicts, which holds only if
+no dict stores a zero.  A differential test runs the Jacobson engine
+against the Leavitt path algebra engine through the embedding of
+A = <x, y | xy = 1> into the v1 corner of the Toeplitz graph
+(y -> c, x -> c*, 1 -> v1); an invariant test checks that no sum,
+difference or product leaves a zero behind in any stored dict.  Element
+constructors drop zeros too, so `SpanBasis` rows, which no constructor
+sees, are the ones that rest on the kernel alone.
+"""
+
+import random
+
+import pytest
+
+from leavitt import algebra as alg
+from leavitt.fields import make_field
+from leavitt.graphs import Path
+from leavitt.jacobson import AlmostToeplitzMatrix, JacobsonElement
+from leavitt.laurent import LaurentPoly
+from leavitt.linalg import SpanBasis, accumulate
+
+from .conftest import load
+
+
+def _scalar(rng, field):
+    if field == make_field("Q"):
+        return field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return rng.choice([c for c in field.elements() if c])
+
+
+def _sparse(rng, field, keys, nterms):
+    return {rng.choice(keys): _scalar(rng, field) for _ in range(nterms)}
+
+
+def _jacobson(rng, field):
+    keys = [(i, j) for i in range(4) for j in range(4)]
+    return JacobsonElement(field, _sparse(rng, field, keys, rng.randint(1, 4)))
+
+
+def _corner_image(g, a):
+    """y^i x^j -> c^i (c*)^j, normalized by the rewriting engine."""
+    out = alg.zero(g, a.field)
+    for (i, j), coeff in a.terms.items():
+        m = alg.monomial_element(g, a.field, Path("v1", ("c",) * i), Path("v1", ("c",) * j))
+        out = out + m.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("fname", ["Q", "gf3", "gf2^4"])
+def test_jacobson_engine_matches_toeplitz_graph_corner(fname):
+    field = make_field(fname)
+    g = load("toeplitz")
+    rng = random.Random(1401 + len(fname))
+    one = alg.vertex_element(g, field, "v1")
+    assert _corner_image(g, JacobsonElement(field, {(0, 0): field.one()})) == one
+    for _ in range(100):
+        a, b = _jacobson(rng, field), _jacobson(rng, field)
+        ia, ib = _corner_image(g, a), _corner_image(g, b)
+        assert _corner_image(g, a * b) == ia * ib
+        assert _corner_image(g, a + b) == ia + ib
+        assert _corner_image(g, a - b) == ia - ib
+        assert bool(a * b) == bool(ia * ib)
+
+
+def _makers(rng, field):
+    g = load("toeplitz")
+    basis = alg.enumerate_basis(g, field, 3)
+    return {
+        "algebra": (
+            lambda: alg.AlgebraElement(g, field, _sparse(rng, field, basis, rng.randint(1, 4))),
+            lambda a: [a.terms],
+        ),
+        "jacobson": (lambda: _jacobson(rng, field), lambda a: [a.terms]),
+        "laurent": (
+            lambda: LaurentPoly(field, _sparse(rng, field, range(-3, 4), rng.randint(1, 4))),
+            lambda a: [a.coeffs],
+        ),
+        "almost_toeplitz": (
+            lambda: AlmostToeplitzMatrix(
+                field,
+                _sparse(rng, field, [(i, j) for i in range(1, 4) for j in range(1, 4)], 3),
+                _sparse(rng, field, range(-2, 3), rng.randint(0, 2)),
+            ),
+            lambda a: [a.finitary, a.band],
+        ),
+    }
+
+
+def _zero_free(dicts):
+    return all(c for d in dicts for c in d.values())
+
+
+@pytest.mark.parametrize("fname", ["gf2", "gf3", "Q"])
+def test_no_stored_zeros_after_arithmetic(fname):
+    field = make_field(fname)
+    rng = random.Random(2014 + len(fname))
+    ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b]
+    for kind, (make, stored) in _makers(rng, field).items():
+        pool = [make() for _ in range(4)]
+        cancelled = 0
+        for _ in range(60):
+            a, b = rng.choice(pool), rng.choice(pool)
+            c = rng.choice(ops)(a, b)
+            assert _zero_free(stored(c)), kind
+            assert not any(stored(a - a)), kind
+            if sum(map(len, stored(c))) < sum(map(len, stored(a) + stored(b))):
+                cancelled += 1
+            pool[rng.randrange(len(pool))] = c if sum(map(len, stored(c))) < 40 else make()
+        assert cancelled, kind
+
+
+def test_accumulate_adds_and_cancels(QQ):
+    d = {}
+    accumulate(d, "k", QQ.one())
+    assert d == {"k": QQ.one()}
+    accumulate(d, "k", QQ.one())
+    assert d == {"k": QQ.from_int(2)}
+    accumulate(d, "j", QQ.one())
+    accumulate(d, "k", QQ.from_int(-2))
+    assert d == {"j": QQ.one()}
+
+
+@pytest.mark.parametrize("fname", ["gf2", "gf3", "Q"])
+def test_span_rows_hold_no_zeros(fname):
+    field = make_field(fname)
+    rng = random.Random(7 + len(fname))
+    basis = SpanBasis(field)
+    for _ in range(60):
+        row = _sparse(rng, field, range(8), rng.randint(1, 5))
+        residue = basis.reduce(row)
+        assert _zero_free([residue])
+        basis.add(row)
+        assert _zero_free(basis.pivots.values())
+    assert basis.rank == 8
