@@ -32,6 +32,7 @@ __all__ = [
     "star",
     "enumerate_basis",
     "enumerate_paths",
+    "filtration",
     "graded_dimension",
     "span_dimension",
     "parse_element",
@@ -335,30 +336,30 @@ def generator_elements(g, field):
     return gens
 
 
-def graded_dimension(g, field, n):
-    """dim of the span of all products of <= n generators (n = 0: vertices)."""
+def filtration(g, field, n):
+    """For k = 0..n, yield the elements that enlarged the span V_k of all
+    products of at most k generators (k = 0: the vertices).
+
+    Semi-naive: V_k = V_(k-1) + G N_(k-1), where N_(k-1) is the previous
+    yield, because G V_(k-2) already lies in V_(k-1).  So each degree
+    multiplies the generators by the new elements only, and the products
+    made in all are len(G) times the rank of V_(n-1).
+    """
     basis = SpanBasis(field)
     layer = [vertex_element(g, field, v) for v in g.vertices]
     for el in layer:
         basis.add(el.coordinates())
-    if n == 0:
-        return basis.rank
+    yield layer
     gens = generator_elements(g, field)
-    current = list(layer)
     for _ in range(n):
-        nxt = []
-        for gen in gens:
-            for el in current:
-                prod = gen * el
-                if prod and basis.add(prod.coordinates()):
-                    nxt.append(prod)
-        for gen in gens:
-            if basis.add(gen.coordinates()):
-                nxt.append(gen)
-        if not nxt:
-            break
-        current = current + nxt
-    return basis.rank
+        products = (gen * el for gen in gens for el in layer)
+        layer = [p for p in products if p and basis.add(p.coordinates())]
+        yield layer
+
+
+def graded_dimension(g, field, n):
+    """dim of the span of all products of <= n generators (n = 0: vertices)."""
+    return sum(len(layer) for layer in filtration(g, field, n))
 
 
 def span_dimension(elements):

@@ -138,19 +138,79 @@ def cmd_toeplitz_probe(args):
     return EXIT_OK
 
 
-def _load_matrix(field, doc):
-    fin = {(int(i), int(j)): field.parse(c) for i, j, c in doc.get("finitary", [])}
-    band = {int(k): field.parse(c) for k, c in doc.get("band", [])}
+class DocumentError(ValueError):
+    """A JSON input file that does not have the documented shape."""
+
+
+def _scalar(field, value):
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise DocumentError("%s is not a scalar literal" % json.dumps(value))
+    try:
+        return field.parse(str(value))
+    except FieldError as exc:
+        raise DocumentError(str(exc)) from exc
+
+
+def _records(field, doc, key, where):
+    """{indices: scalar} from the [index, ..., scalar] records of doc[key]."""
+    records = doc.get(key, [])
+    if not isinstance(records, list):
+        raise DocumentError("%s: %r is not a list of records" % (where, key))
+    arity, shape = (3, "[i, j, scalar]") if key == "finitary" else (2, "[k, scalar]")
+    out = {}
+    for rec in records:
+        try:
+            if not (
+                isinstance(rec, list)
+                and len(rec) == arity
+                and all(type(i) is int for i in rec[:-1])
+            ):
+                raise DocumentError("want %s with integer indices" % shape)
+            if key == "finitary" and min(rec[:-1]) < 1:
+                raise DocumentError("indices must be >= 1")
+            if tuple(rec[:-1]) in out:
+                raise DocumentError("repeats an earlier record's indices")
+            out[tuple(rec[:-1])] = _scalar(field, rec[-1])
+        except DocumentError as exc:
+            raise DocumentError(
+                "%s: %s record %s: %s" % (where, key, json.dumps(rec), exc)
+            ) from None
+    return out
+
+
+def _load_matrix(field, doc, where):
+    if not isinstance(doc, dict):
+        raise DocumentError(
+            "%s: a matrix is a JSON object with 'finitary' and 'band' lists, not %s"
+            % (where, type(doc).__name__)
+        )
+    fin = _records(field, doc, "finitary", where)
+    band = {k: c for (k,), c in _records(field, doc, "band", where).items()}
     return jb.AlmostToeplitzMatrix(field, fin, band)
 
 
-def _load_automorphism(field, path):
+def _read_json(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    alpha = field.parse(doc["alpha"])
-    gdoc = dict(doc["g"])
-    gdoc.setdefault("band", [[0, "1"]])
-    g = _load_matrix(field, gdoc)
+        return json.load(fh)
+
+
+def _load_automorphism(field, path):
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise DocumentError(
+            "%s: an automorphism is a JSON object, not %s" % (path, type(doc).__name__)
+        )
+    for key in ("alpha", "g"):
+        if key not in doc:
+            raise DocumentError("%s: the automorphism has no %r" % (path, key))
+    try:
+        alpha = _scalar(field, doc["alpha"])
+    except DocumentError as exc:
+        raise DocumentError("%s: alpha: %s" % (path, exc)) from None
+    gdoc = doc["g"]
+    if isinstance(gdoc, dict) and "band" not in gdoc:
+        gdoc = dict(gdoc, band=[[0, "1"]])
+    g = _load_matrix(field, gdoc, "%s: g" % path)
     return au.ToeplitzAutomorphism(alpha, g)
 
 
@@ -181,9 +241,11 @@ def cmd_toeplitz_aut(args):
 
 def cmd_toeplitz_involution(args):
     field = make_field(args.field)
-    with open(args.T) as fh:
-        doc = json.load(fh)
-    T = _load_matrix(field, doc["T"] if "T" in doc else doc)
+    doc = _read_json(args.T)
+    if isinstance(doc, dict) and "T" in doc:
+        T = _load_matrix(field, doc["T"], "%s: T" % args.T)
+    else:
+        T = _load_matrix(field, doc, args.T)
     iota = au.Involution(T)
     Q = au.involution_equivalence(iota)
     doc = {"T": T.to_json(), "Q": Q.to_json()}
@@ -242,7 +304,7 @@ def build_parser():
     q = tsub.add_parser("aut", help="compose or apply automorphisms")
     q.add_argument("files", nargs="+", help="automorphism JSON file(s)")
     mode = q.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--compose", action="store_true", help="compose the first two")
+    mode.add_argument("--compose", action="store_true", help="compose two files")
     mode.add_argument("--apply", metavar="TARGET", help="c, c*, or 'e i j'")
     q.add_argument("--field", default="Q")
     q.add_argument("--json", action="store_true")
@@ -260,8 +322,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "compose", False) and len(args.files) < 2:
-        parser.error("argument --compose: needs two automorphism files")
+    if args.func is cmd_toeplitz_aut:
+        mode, want, files = (
+            ("--compose", 2, "two automorphism files")
+            if args.compose
+            else ("--apply", 1, "one automorphism file")
+        )
+        if len(args.files) != want:
+            parser.error(
+                "argument %s: needs exactly %s, got %d" % (mode, files, len(args.files))
+            )
     try:
         return args.func(args)
     except gr.NotPolynomialGrowth as exc:
@@ -270,7 +340,14 @@ def main(argv=None):
     except (au.NoSquareRootError, au.StuckAlternatingBlock) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAPABILITY
-    except (alg.ParseError, gr.GraphError, json.JSONDecodeError, OSError) as exc:
+    except (
+        alg.ParseError,
+        gr.GraphError,
+        DocumentError,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+        OSError,
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except (alg.AlgebraError, jb.JacobsonError, au.AutomorphismError, FieldError) as exc:

@@ -30,6 +30,7 @@ __all__ = [
     "DescentState",
     "descent_measure",
     "corner_dimension",
+    "corner_dimensions",
     "splitting_probe",
     "RefutationCertificate",
 ]
@@ -499,20 +500,28 @@ def descent_measure(a, b, extra_steps=5):
     return DescentState(P=P, measures=measures, N=N)
 
 
-def corner_dimension(field, n):
-    """dim span{(1 - yx) w : w a word of length <= n}, computed by rank.
+def corner_dimensions(field, n):
+    """[dim span{(1 - yx) w : w a word of length <= m} for m = 0..n].
 
-    Every word of length <= n normalizes to some y^i x^j with i + j <= n,
-    so the span is generated by (1 - yx) y^i x^j over that range.
+    Every word of length <= m normalizes to some y^i x^j with i + j <= m,
+    so degree m adds (1 - yx) y^i x^(m-i) to one span basis, whose rank
+    is then the m-th dimension.
     """
     e11 = jac_matrix_unit(field, 1, 1)
     basis = SpanBasis(field)
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            el = e11 * jac_monomial(field, i, j)
+    dims = []
+    for m in range(n + 1):
+        for i in range(m + 1):
+            el = e11 * jac_monomial(field, i, m - i)
             if el:
                 basis.add(el.coordinates())
-    return basis.rank
+        dims.append(basis.rank)
+    return dims
+
+
+def corner_dimension(field, n):
+    """dim span{(1 - yx) w : w a word of length <= n}, computed by rank."""
+    return corner_dimensions(field, n)[-1] if n >= 0 else 0
 
 
 @dataclass
@@ -522,7 +531,7 @@ class RefutationCertificate:
     P_rows: set
     P_cols: set
     dim_rho_cap_sigma: int
-    corner_dims: list  # corner_dimension(0..n)
+    corner_dims: list  # corner_dimensions(n)
     witness: JacobsonElement | None = None
 
     def to_dict(self):
@@ -558,7 +567,7 @@ def splitting_probe(b1, bm1, b0, n):
     p_rows = {i for (i, j) in jac_to_matrix(b1 - jac_x(field)).finitary}
     p_cols = {j for (i, j) in jac_to_matrix(bm1 - jac_y(field)).finitary}
     dim_rs = len(p_rows) * len(p_cols)
-    corner_dims = [corner_dimension(field, m) for m in range(n + 1)]
+    corner_dims = corner_dimensions(field, n)
     closure_defect = b1 * bm1 - b0
     if closure_defect:
         return RefutationCertificate(

@@ -133,16 +133,13 @@ def corner_basis(g, e, f, maxdeg):
     e._compat(f)
     span = SpanBasis(e.field)
     basis = []
-    dim_at = {}
-    for d in range(maxdeg + 1):
-        for m in alg.enumerate_basis(g, e.field, d):
-            if m.degree != d:
-                continue
-            el = e * alg.AlgebraElement(g, e.field, {m: e.field.one()}) * f
-            if el and span.add(el.coordinates()):
-                basis.append(el)
-        dim_at[d] = span.rank
-    stabilized = maxdeg >= 2 and dim_at[maxdeg] == dim_at[maxdeg - 2]
+    top = 0  # degree of the last monomial that enlarged the span
+    for m in alg.enumerate_basis(g, e.field, maxdeg):
+        el = e * alg.AlgebraElement(g, e.field, {m: e.field.one()}) * f
+        if el and span.add(el.coordinates()):
+            basis.append(el)
+            top = m.degree
+    stabilized = maxdeg >= 2 and top <= maxdeg - 2
     return CornerBasis(basis=basis, dimension=span.rank, stabilized=stabilized)
 
 
@@ -162,32 +159,17 @@ def growth_probe(g, a, n_max):
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
-    field = a.field
-    gens = alg.generator_elements(g, field)
-    # basis of G^n built incrementally
-    span = SpanBasis(field)
-    current = []
-    for gen in gens:
-        if span.add(gen.coordinates()):
-            current.append(gen)
+    # a G^n a is spanned by a b a over a basis of G^n, so each degree adds
+    # the products for its new basis elements b to one corner basis
+    corner = SpanBasis(a.field)
     dims = []
-    gn_basis = list(current)
-    for n in range(1, n_max + 1):
-        if n > 1:
-            nxt = []
-            for gen in gens:
-                for el in current:
-                    prod = gen * el
-                    if prod and span.add(prod.coordinates()):
-                        nxt.append(prod)
-            gn_basis.extend(nxt)
-            current = current + nxt if nxt else current
-        corner = SpanBasis(field)
-        for b in gn_basis:
+    for n, layer in enumerate(alg.filtration(g, a.field, n_max)):
+        for b in layer:
             el = a * b * a
             if el:
                 corner.add(el.coordinates())
-        dims.append(corner.rank)
+        if n:
+            dims.append(corner.rank)
     half = max(1, n_max // 2)
     k = max(1, max(ceil(dims[n - 1] / n) for n in range(1, half + 1)))
     linear = all(dims[n - 1] <= k * n for n in range(1, n_max + 1))

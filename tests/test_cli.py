@@ -191,3 +191,78 @@ def test_analyze_rejects_bad_ids(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "['x']" in err
+
+
+def _bad_document(tmp_path, capsys, doc, *argv):
+    """Exit 2, nothing on stdout, and the error on stderr."""
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "toeplitz", *argv[:1], str(f), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s" % f)
+    return err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"alpha": "1", "g": {"finitary": [[0, 1, "1"]]}}, '[0, 1, "1"]: indices must be >= 1'),
+        ({"alpha": "1", "g": {"finitary": [[2, -1, "1"]]}}, '[2, -1, "1"]: indices must be >= 1'),
+        ({"alpha": "1", "g": {"finitary": [["a", 1, "1"]]}}, '["a", 1, "1"]: want [i, j, scalar]'),
+        ({"alpha": "1", "g": {"finitary": [[1, 2]]}}, "[1, 2]: want [i, j, scalar]"),
+        ({"alpha": "1", "g": {"finitary": [[1.5, 2, "1"]]}}, "[1.5, 2, \"1\"]: want [i, j, scalar]"),
+        ({"alpha": "1", "g": {"finitary": [[1, 2, "zz"]]}}, "bad rational literal 'zz'"),
+        ({"alpha": "1", "g": {"finitary": [[1, 2, None]]}}, "null is not a scalar literal"),
+        ({"alpha": "1", "g": {"finitary": {"1": 2}}}, "'finitary' is not a list"),
+        ({"alpha": "1", "g": {"band": [[0]]}}, "band record [0]: want [k, scalar]"),
+        (
+            {"alpha": "1", "g": {"finitary": [[1, 2, "1"], [1, 2, "2"]]}},
+            '[1, 2, "2"]: repeats an earlier',
+        ),
+        ({"alpha": "1", "g": []}, "g: a matrix is a JSON object"),
+        ({"alpha": [], "g": {}}, "alpha: [] is not a scalar literal"),
+        ({"alpha": "1"}, "has no 'g'"),
+        ({"g": {}}, "has no 'alpha'"),
+        ([], "an automorphism is a JSON object, not list"),
+    ],
+)
+def test_toeplitz_aut_rejects_bad_documents(tmp_path, capsys, doc, named):
+    err = _bad_document(tmp_path, capsys, doc, "aut", "--apply", "c")
+    assert named in err
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"alpha": "1", "g": {"finitary": []}}))
+    err = _bad_document(tmp_path, capsys, doc, "aut", str(ok), "--compose")
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([], "a matrix is a JSON object"),
+        ({"T": [[1, 1, "1"]]}, "T: a matrix is a JSON object"),
+        ({"T": {"finitary": [[1, 0, "1"]], "band": [[0, "1"]]}}, "indices must be >= 1"),
+        ({"finitary": [[1, 1, 1, "1"]], "band": [[0, "1"]]}, "want [i, j, scalar]"),
+    ],
+)
+def test_toeplitz_involution_rejects_bad_documents(tmp_path, capsys, doc, named):
+    err = _bad_document(tmp_path, capsys, doc, "involution")
+    assert named in err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "bin.json"
+    f.write_bytes(b"\xff\xfe")
+    for argv in (["toeplitz", "aut", str(f), "--apply", "c"], ["analyze", str(f)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "decode" in err
+
+
+def test_toeplitz_aut_file_count(tmp_path, capsys):
+    f = tmp_path / "phi.json"
+    f.write_text(json.dumps({"alpha": "1", "g": {"finitary": [[1, 2, "1"]]}}))
+    err = _usage_error(capsys, "toeplitz", "aut", str(f), str(f), "--apply", "c")
+    assert "argument --apply: needs exactly one automorphism file, got 2" in err
+    err = _usage_error(capsys, "toeplitz", "aut", str(f), str(f), str(f), "--compose")
+    assert "argument --compose: needs exactly two automorphism files, got 3" in err
