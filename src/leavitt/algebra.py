@@ -104,45 +104,60 @@ class AlgebraElement:
     def __init__(self, graph, field, terms):
         self.graph = graph
         self.field = field
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = field.check_terms(terms)
+
+    @classmethod
+    def _make(cls, graph, field, terms):
+        """An element on `terms` as given: zero-free values of `field`."""
+        el = object.__new__(cls)
+        el.graph, el.field, el.terms = graph, field, terms
+        return el
 
     def _compat(self, other):
-        if self.graph != other.graph or self.field != other.field:
+        # identity first: elements of one computation share graph and field
+        if (self.graph is not other.graph and self.graph != other.graph) or (
+            self.field is not other.field and self.field != other.field
+        ):
             raise AlgebraError("elements live over different graphs or fields")
 
     def __add__(self, other):
         self._compat(other)
-        terms = dict(self.terms)
+        terms, add = dict(self.terms), self.field.add
         for m, c in other.terms.items():
-            accumulate(terms, m, c)
-        return AlgebraElement(self.graph, self.field, terms)
+            accumulate(terms, m, c, add)
+        return self._make(self.graph, self.field, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(
-            self.graph, self.field, {m: -c for m, c in self.terms.items()}
-        )
+        neg = self.field.neg
+        return self._make(self.graph, self.field, {m: neg(c) for m, c in self.terms.items()})
 
     def scale(self, scalar):
-        return AlgebraElement(
-            self.graph, self.field, {m: c * scalar for m, c in self.terms.items()}
+        field = self.field
+        scalar = field.check_value(scalar)
+        if not scalar:
+            return self._make(self.graph, field, {})
+        mul = field.mul
+        return self._make(
+            self.graph, field, {m: mul(c, scalar) for m, c in self.terms.items()}
         )
 
     def __mul__(self, other):
         self._compat(other)
         out = {}
         g = self.graph
+        add, mul, neg = self.field.add, self.field.mul, self.field.neg
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 raw = _mul_monomials(g, m1, m2)
                 if raw is None:
                     continue
-                c = c1 * c2
+                c = mul(c1, c2)
                 for sign, m in _normalize_monomial(g, *raw):
-                    accumulate(out, m, c if sign > 0 else -c)
-        return AlgebraElement(self.graph, self.field, out)
+                    accumulate(out, m, c if sign > 0 else neg(c), add)
+        return self._make(g, self.field, out)
 
     def __eq__(self, other):
         return (
@@ -165,7 +180,7 @@ class AlgebraElement:
 
     def star(self):
         """The involution: p q* with coefficient a maps to q p* with a."""
-        return AlgebraElement(
+        return self._make(
             self.graph,
             self.field,
             {Monomial(m.q, m.p, m.vertex): c for m, c in self.terms.items()},
@@ -183,8 +198,7 @@ class AlgebraElement:
             return "0"
         parts = []
         for m in sorted(self.terms, key=Monomial.sort_key):
-            c = self.terms[m]
-            cs = str(c)
+            cs = self.field.to_str(self.terms[m])
             if cs == "1":
                 parts.append(m.format())
             elif cs == "-1":
@@ -247,20 +261,20 @@ def _normalize_monomial(g, p, q, vertex):
 
 
 def zero(g, field):
-    return AlgebraElement(g, field, {})
+    return AlgebraElement._make(g, field, {})
 
 
 def vertex_element(g, field, v):
     if v not in g.vertices:
         raise AlgebraError("unknown vertex %r" % v)
-    return AlgebraElement(g, field, {Monomial((), (), v): field.one()})
+    return AlgebraElement._make(g, field, {Monomial((), (), v): field.one()})
 
 
 def edge_element(g, field, e):
     m = g._edge_map().get(e)
     if m is None:
         raise AlgebraError("unknown edge %r" % e)
-    return AlgebraElement(g, field, {Monomial((e,), (), m[1]): field.one()})
+    return AlgebraElement._make(g, field, {Monomial((e,), (), m[1]): field.one()})
 
 
 def ghost_element(g, field, e):
@@ -271,10 +285,10 @@ def monomial_element(g, field, p, q):
     """Element p q* from two Path objects with matching ranges, normalized."""
     if p.range(g) != q.range(g):
         raise AlgebraError("paths %s and %s have different ranges" % (p, q))
-    one, out = field.one(), {}
+    one, minus_one, out = field.one(), field.neg(field.one()), {}
     for sign, m in _normalize_monomial(g, p.edges, q.edges, p.range(g)):
-        accumulate(out, m, one if sign > 0 else -one)
-    return AlgebraElement(g, field, out)
+        accumulate(out, m, one if sign > 0 else minus_one, field.add)
+    return AlgebraElement._make(g, field, out)
 
 
 def path_idempotent(g, field, p):

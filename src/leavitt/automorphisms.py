@@ -9,7 +9,7 @@ which keeps everything inside the almost-Toeplitz forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .fields import NoSquareRoot
 from .jacobson import AlmostToeplitzMatrix, invert_id_plus_finitary
@@ -41,12 +41,16 @@ class StuckAlternatingBlock(AutomorphismError):
 
 
 def _scalar_pow(field, alpha, n):
-    if n >= 0:
-        r = field.one()
-        for _ in range(n):
-            r = r * alpha
-        return r
-    return field.inv(_scalar_pow(field, alpha, -n))
+    """alpha^n for a nonzero alpha and any integer n, by squaring."""
+    if n < 0:
+        alpha, n = field.inv(alpha), -n
+    r = field.one()
+    while n:
+        if n & 1:
+            r = field.mul(r, alpha)
+        alpha = field.mul(alpha, alpha)
+        n >>= 1
+    return r
 
 
 def pi_conjugate(alpha, m):
@@ -55,42 +59,45 @@ def pi_conjugate(alpha, m):
     field = m.field
     if not alpha:
         raise AutomorphismError("alpha must be nonzero")
-    fin = {
-        (i, j): c * _scalar_pow(field, alpha, j - i)
-        for (i, j), c in m.finitary.items()
-    }
-    band = {k: c * _scalar_pow(field, alpha, k) for k, c in m.band.items()}
-    return AlmostToeplitzMatrix(field, fin, band)
+    offsets = {j - i for i, j in m.finitary} | set(m.band)
+    powers = {k: _scalar_pow(field, alpha, k) for k in offsets}
+    mul = field.mul
+    fin = {(i, j): mul(c, powers[j - i]) for (i, j), c in m.finitary.items()}
+    band = {k: mul(c, powers[k]) for k, c in m.band.items()}
+    return AlmostToeplitzMatrix._make(field, fin, band)
 
 
 @dataclass(frozen=True)
 class ToeplitzAutomorphism:
     """Conjugation by pi(alpha) g with g = Id + finitary, invertible."""
 
-    alpha: object  # nonzero Scalar
+    alpha: object  # nonzero value of g.field
     g: AlmostToeplitzMatrix
+    # g^-1, made by the singularity check and reused by aut_apply/aut_invert
+    g_inv: AlmostToeplitzMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", self.g.field.check_value(self.alpha))
         if not self.alpha:
             raise AutomorphismError("alpha must be nonzero")
         if self.g.band != {0: self.g.field.one()}:
             raise AutomorphismError("g must be Id + finitary")
-        if invert_id_plus_finitary(self.g) is None:
+        g_inv = invert_id_plus_finitary(self.g)
+        if g_inv is None:
             raise AutomorphismError("g is singular")
+        object.__setattr__(self, "g_inv", g_inv)
 
     @classmethod
     def identity(cls, field):
         return cls(field.one(), AlmostToeplitzMatrix.identity(field))
 
     def to_dict(self):
-        return {"alpha": str(self.alpha), "g": self.g.to_json()}
+        return {"alpha": self.g.field.to_str(self.alpha), "g": self.g.to_json()}
 
 
 def aut_apply(phi, a):
     """phi acting on a: (pi(alpha) g)^-1 . a . (pi(alpha) g), exactly."""
-    g_inv = invert_id_plus_finitary(phi.g)
-    out = g_inv * pi_conjugate(phi.alpha, a) * phi.g
-    return out
+    return phi.g_inv * pi_conjugate(phi.alpha, a) * phi.g
 
 
 def aut_compose(phi, psi):
@@ -101,14 +108,12 @@ def aut_compose(phi, psi):
     normal form explicit.
     """
     g_moved = pi_conjugate(psi.alpha, phi.g)
-    return ToeplitzAutomorphism(phi.alpha * psi.alpha, g_moved * psi.g)
+    return ToeplitzAutomorphism(phi.g.field.mul(phi.alpha, psi.alpha), g_moved * psi.g)
 
 
 def aut_invert(phi):
-    field = phi.g.field
-    g_inv = invert_id_plus_finitary(phi.g)
-    alpha_inv = field.inv(phi.alpha)
-    return ToeplitzAutomorphism(alpha_inv, pi_conjugate(alpha_inv, g_inv))
+    alpha_inv = phi.g.field.inv(phi.alpha)
+    return ToeplitzAutomorphism(alpha_inv, pi_conjugate(alpha_inv, phi.g_inv))
 
 
 def induced_scalar(phi):
@@ -157,12 +162,12 @@ def reconstruct_conjugator(field, images, m):
     w = cols[min(cols)]
     # columns of M: M eps_j = phi(e_j1) w; then phi(a) = M a M^-1 and the
     # conjugator in the orientation phi(a) = S^-1 a S is M^-1
-    fin = {}
+    fin, add, mul = {}, field.add, field.mul
     for j in range(1, m + 1):
         vec = {}
         for (r, c), coeff in images[("col", j)].finitary.items():
             if c in w:
-                accumulate(vec, r, coeff * w[c])
+                accumulate(vec, r, mul(coeff, w[c]), add)
         if not vec:
             raise AutomorphismError("degenerate image of e_%d1" % j)
         fin.update(((r, j), c) for r, c in vec.items())
@@ -174,15 +179,16 @@ def reconstruct_conjugator(field, images, m):
             "corner too small: column %d has no diagonal entry" % m
         )
     # M = lam Id + finitary: columns 1..m are exactly the vectors above
+    minus_lam = field.neg(lam)
     for j in range(1, m + 1):
-        accumulate(fin, (j, j), -lam)
-    M_scaled = AlmostToeplitzMatrix(field, fin, {0: lam}).scale(field.inv(lam))
+        accumulate(fin, (j, j), minus_lam, add)
+    M_scaled = AlmostToeplitzMatrix._make(field, fin, {0: lam}).scale(field.inv(lam))
     S = invert_id_plus_finitary(M_scaled)
     if S is None:
         raise AutomorphismError("reconstructed conjugator is singular")
     # gauge: first nonzero entry of the first column equals 1
     first_col = {i: c for (i, j), c in S.finitary.items() if j == 1}
-    accumulate(first_col, 1, S.band[0])
+    accumulate(first_col, 1, S.band[0], add)
     if not first_col:
         raise AutomorphismError("reconstructed conjugator has a zero column")
     pivot = first_col[min(first_col)]
@@ -204,14 +210,18 @@ class Involution:
     """a -> T^-1 a^t T for a symmetric invertible T = alpha Id + finitary."""
 
     T: AlmostToeplitzMatrix
+    # T^-1, made by the singularity check and reused by involution_apply
+    T_inv: AlmostToeplitzMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.T.band) - {0} or not self.T.band.get(0):
             raise AutomorphismError("T must be alpha Id + finitary")
         if not self.T.is_symmetric():
             raise AutomorphismError("T must be symmetric")
-        if invert_id_plus_finitary(self.T) is None:
+        T_inv = invert_id_plus_finitary(self.T)
+        if T_inv is None:
             raise AutomorphismError("T is singular")
+        object.__setattr__(self, "T_inv", T_inv)
 
     @classmethod
     def standard(cls, field):
@@ -219,8 +229,7 @@ class Involution:
 
 
 def involution_apply(iota, a):
-    t_inv = invert_id_plus_finitary(iota.T)
-    return t_inv * a.transpose() * iota.T
+    return iota.T_inv * a.transpose() * iota.T
 
 
 def congruence_decompose(T):
@@ -240,13 +249,14 @@ def congruence_decompose(T):
         raise AutomorphismError("T must be symmetric")
     sqrt_alpha = field.sqrt(alpha)
     if isinstance(sqrt_alpha, NoSquareRoot):
-        raise NoSquareRootError(alpha)
+        raise NoSquareRootError(field.to_str(alpha))
     n = T.support_bound()
     if n == 0:
         return AlmostToeplitzMatrix(field, band={0: sqrt_alpha})
     # normalize to Id + block and decompose the block
     inv_alpha = field.inv(alpha)
-    M = [[T.entry(i, j) * inv_alpha for j in range(1, n + 1)] for i in range(1, n + 1)]
+    mul, sub = field.mul, field.sub
+    M = [[mul(c, inv_alpha) for c in row] for row in T.block(n)]
     remaining = list(range(n))
     q_rows = []
     while remaining:
@@ -255,34 +265,36 @@ def congruence_decompose(T):
             raise StuckAlternatingBlock(
                 "all remaining diagonal entries are zero"
             )
-        s = field.sqrt(M[pivot][pivot])
+        prow = M[pivot]
+        s = field.sqrt(prow[pivot])
         if isinstance(s, NoSquareRoot):
-            raise NoSquareRootError(M[pivot][pivot])
-        inv_piv = field.inv(M[pivot][pivot])
-        row = {j: M[pivot][j] / s for j in remaining if M[pivot][j]}
+            raise NoSquareRootError(field.to_str(prow[pivot]))
+        inv_piv, inv_s = field.inv(prow[pivot]), field.inv(s)
+        row = {j: mul(prow[j], inv_s) for j in remaining if prow[j]}
         q_rows.append(row)
         remaining.remove(pivot)
         for i in remaining:
             if M[i][pivot]:
-                c = M[i][pivot] * inv_piv
-                for j in remaining:
-                    M[i][j] = M[i][j] - c * M[pivot][j]
+                c = mul(M[i][pivot], inv_piv)
+                for j in row:
+                    if j != pivot:
+                        M[i][j] = sub(M[i][j], mul(c, prow[j]))
     # assemble: Q_block rows stacked in pivot order, block embedded in Id
     fin = {}
     for r, row in enumerate(q_rows, start=1):
         for j, c in row.items():
             fin[(r, j + 1)] = c
-    one = field.one()
+    one, minus_one = field.one(), field.neg(field.one())
     for i in range(1, n + 1):
-        accumulate(fin, (i, i), -one)
-    Q = AlmostToeplitzMatrix(field, fin, band={0: one}).scale(sqrt_alpha)
+        accumulate(fin, (i, i), minus_one, field.add)
+    Q = AlmostToeplitzMatrix._make(field, fin, {0: one}).scale(sqrt_alpha)
     assert Q.transpose() * Q == T, "congruence decomposition must be exact"
     return Q
 
 
 class NoSquareRootError(AutomorphismError):
     def __init__(self, value):
-        self.value = value
+        self.value = value  # the value's literal, as the field writes it
         super().__init__("no square root of %s in the field" % value)
 
 

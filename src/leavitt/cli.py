@@ -12,6 +12,7 @@ stuck alternating block).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,6 +28,10 @@ EXIT_PARSE = 2
 EXIT_GROWTH = 3
 EXIT_ALGEBRA = 4
 EXIT_CAPABILITY = 5
+
+# Largest finitary index a toeplitz aut/involution JSON file may use: the
+# conjugator is inverted as a dense block of that size.
+MAX_FINITARY_INDEX = 256
 
 
 def _emit(args, text, doc):
@@ -168,6 +173,10 @@ def _records(field, doc, key, where):
                 raise DocumentError("want %s with integer indices" % shape)
             if key == "finitary" and min(rec[:-1]) < 1:
                 raise DocumentError("indices must be >= 1")
+            if key == "finitary" and max(rec[:-1]) > MAX_FINITARY_INDEX:
+                raise DocumentError(
+                    "indices must be <= MAX_FINITARY_INDEX = %d" % MAX_FINITARY_INDEX
+                )
             if tuple(rec[:-1]) in out:
                 raise DocumentError("repeats an earlier record's indices")
             out[tuple(rec[:-1])] = _scalar(field, rec[-1])
@@ -260,7 +269,10 @@ def natural(text):
     return n
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: parsing leaves it unchanged, and
+    a parser rebuilt per call is cyclic garbage that outlives many calls."""
     parser = argparse.ArgumentParser(
         prog="leavitt",
         description="Exact computer algebra for Leavitt path algebras "

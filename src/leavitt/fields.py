@@ -1,21 +1,32 @@
 """Exact field arithmetic: Q, GF(p) and GF(2^k).
 
-All scalars are immutable and canonical, so equality and hashing are exact.
-GF(2^k) uses a fixed irreducible modulus per k (see MODULI) so that results
-are reproducible bit for bit.
+Field values are plain Python values, and a field is a stateless set of
+operations on them (the design of SymPy's polys domains):
+
+  Q        int when integral, Fraction otherwise
+  GF(p)    int in [0, p)
+  GF(2^k)  int bitmask in [0, 2^k), bit i = x^i
+
+Every value is canonical, so equality and hashing are exact; in every
+field zero is 0 (falsy) and one is 1.  `add/sub/mul/div/neg/inv/sqrt` trust their arguments; a value
+from a caller goes through `check_value` once, where it enters an
+element.  GF(2^k) uses a fixed irreducible modulus per k (see MODULI) so
+that results are reproducible bit for bit; its products, quotients and
+square roots read exp/log tables built on first use, once per k.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
     "Field",
     "Rationals",
     "PrimeField",
     "BinaryField",
-    "Scalar",
     "NoSquareRoot",
     "FieldError",
     "make_field",
@@ -24,7 +35,7 @@ __all__ = [
 
 
 class FieldError(ValueError):
-    """Bad field descriptor, mismatched fields or unsupported operation."""
+    """Bad field descriptor, value outside its field or unsupported operation."""
 
 
 class NoSquareRoot:
@@ -79,97 +90,50 @@ def _is_prime(n):
     return True
 
 
-class Scalar:
-    """A field element: an exact value tagged with its field."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __add__(self, other):
-        return self.field.add(self, other)
-
-    def __sub__(self, other):
-        return self.field.sub(self, other)
-
-    def __mul__(self, other):
-        return self.field.mul(self, other)
-
-    def __truediv__(self, other):
-        return self.field.div(self, other)
-
-    def __neg__(self):
-        return self.field.neg(self)
-
-    def __bool__(self):
-        return not self.field.is_zero(self)
-
-    def __repr__(self):
-        return "Scalar(%s, %s)" % (self.field, self.field.to_str(self))
-
-    def __str__(self):
-        return self.field.to_str(self)
-
-
 class Field:
-    """Common interface; concrete fields canonicalize in _wrap."""
-
-    def _check(self, *scalars):
-        for s in scalars:
-            if s.field != self:
-                raise FieldError("scalar from %s used in %s" % (s.field, self))
-
-    def _wrap(self, raw):
-        raise NotImplementedError
+    """Operations on raw values; concrete fields override the arithmetic."""
 
     def zero(self):
-        return self._wrap(0)
+        return 0
 
     def one(self):
-        return self._wrap(1)
+        return 1
 
     def from_int(self, n):
         raise NotImplementedError
 
+    def check_value(self, c):
+        """c itself if it is a canonical value of this field, else FieldError."""
+        raise NotImplementedError
+
+    def check_terms(self, terms):
+        """A caller's coefficient dict, each value checked and zeros dropped."""
+        check = self.check_value
+        return {k: v for k, c in terms.items() if (v := check(c))}
+
+    def _reject(self, c):
+        raise FieldError("%r is not a value of %s" % (c, self))
+
     def add(self, a, b):
-        self._check(a, b)
-        return self._do_add(a.value, b.value)
+        raise NotImplementedError
 
     def sub(self, a, b):
-        self._check(a, b)
-        return self._do_sub(a.value, b.value)
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        self._check(a, b)
-        return self._do_mul(a.value, b.value)
+        raise NotImplementedError
 
     def div(self, a, b):
-        self._check(a, b)
-        if not b:
-            raise ZeroDivisionError("division by zero in %s" % self)
-        return self._do_div(a.value, b.value)
+        return self.mul(a, self.inv(b))
 
     def neg(self, a):
-        self._check(a)
-        return self._do_neg(a.value)
-
-    def is_zero(self, a):
-        return a.value == 0
+        raise NotImplementedError
 
     def inv(self, a):
-        return self.div(self.one(), a)
+        raise NotImplementedError
+
+    def _zero_division(self):
+        raise ZeroDivisionError("division by zero in %s" % self)
 
     def sqrt(self, a):
         raise FieldError("sqrt is not supported over %s" % self)
@@ -179,14 +143,19 @@ class Field:
         raise NotImplementedError
 
     def to_str(self, a):
-        return str(a.value)
+        return str(a)
 
     def elements(self):
         raise FieldError("%s is not finite" % self)
 
 
+def _q(r):
+    """Canonical Q value: an integral Fraction becomes its int."""
+    return r.numerator if r.denominator == 1 else r
+
+
 class Rationals(Field):
-    """The field Q with arbitrary-precision Fraction values."""
+    """The field Q: ints, and Fractions for the values that are not integral."""
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -197,48 +166,56 @@ class Rationals(Field):
     def __repr__(self):
         return "Q"
 
-    def _wrap(self, raw):
-        return Scalar(self, Fraction(raw))
-
     def from_int(self, n):
-        return self._wrap(n)
+        return n
 
-    def _do_add(self, a, b):
-        return Scalar(self, a + b)
+    def check_value(self, c):
+        if type(c) is int:
+            return c
+        if type(c) is Fraction:
+            return _q(c)
+        self._reject(c)
 
-    def _do_sub(self, a, b):
-        return Scalar(self, a - b)
+    def add(self, a, b):
+        r = a + b
+        return r.numerator if r.denominator == 1 else r
 
-    def _do_mul(self, a, b):
-        return Scalar(self, a * b)
+    def sub(self, a, b):
+        r = a - b
+        return r.numerator if r.denominator == 1 else r
 
-    def _do_div(self, a, b):
-        return Scalar(self, a / b)
+    def mul(self, a, b):
+        r = a * b
+        return r.numerator if r.denominator == 1 else r
 
-    def _do_neg(self, a):
-        return Scalar(self, -a)
+    def div(self, a, b):
+        if not b:
+            self._zero_division()
+        return _q(Fraction(a, b))
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        return self.div(1, a)
 
     def sqrt(self, a):
-        self._check(a)
-        v = a.value
-        if v < 0:
+        if a < 0:
             return NO_SQUARE_ROOT
-        num = _isqrt_exact(v.numerator)
-        den = _isqrt_exact(v.denominator)
+        num = _isqrt_exact(a.numerator)
+        den = _isqrt_exact(a.denominator)
         if num is None or den is None:
             return NO_SQUARE_ROOT
-        return Scalar(self, Fraction(num, den))
+        return _q(Fraction(num, den))
 
     def parse(self, text):
         try:
-            return Scalar(self, Fraction(text))
+            return _q(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError("bad rational literal %r" % text) from exc
 
 
 def _isqrt_exact(n):
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -262,26 +239,33 @@ class PrimeField(Field):
     def __repr__(self):
         return "GF(%d)" % self.p
 
-    def _wrap(self, raw):
-        return Scalar(self, raw % self.p)
-
     def from_int(self, n):
-        return self._wrap(n)
+        return n % self.p
 
-    def _do_add(self, a, b):
-        return Scalar(self, (a + b) % self.p)
+    def check_value(self, c):
+        if type(c) is int and 0 <= c < self.p:
+            return c
+        self._reject(c)
 
-    def _do_sub(self, a, b):
-        return Scalar(self, (a - b) % self.p)
+    def add(self, a, b):
+        return (a + b) % self.p
 
-    def _do_mul(self, a, b):
-        return Scalar(self, (a * b) % self.p)
+    def sub(self, a, b):
+        return (a - b) % self.p
 
-    def _do_div(self, a, b):
-        return Scalar(self, (a * pow(b, -1, self.p)) % self.p)
+    def mul(self, a, b):
+        return a * b % self.p
 
-    def _do_neg(self, a):
-        return Scalar(self, (-a) % self.p)
+    def div(self, a, b):
+        return a * self.inv(b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        if not a:
+            self._zero_division()
+        return pow(a, -1, self.p)
 
     def sqrt(self, a):
         # Total square roots only exist in characteristic 2; for odd p the
@@ -289,7 +273,6 @@ class PrimeField(Field):
         # down, so we deliberately refuse rather than half-support it.
         if self.p != 2:
             raise FieldError("sqrt over GF(%d) is not supported (p odd)" % self.p)
-        self._check(a)
         return a
 
     def parse(self, text):
@@ -302,17 +285,72 @@ class PrimeField(Field):
             raise FieldError("bad GF(%d) literal %r" % (self.p, text)) from exc
 
     def elements(self):
-        return [Scalar(self, i) for i in range(self.p)]
+        return list(range(self.p))
+
+
+_X_POWER_RE = re.compile(r"x\^(\d+)")
+
+
+def _reduce(bits, k):
+    """bits mod the degree-k modulus, by shift and xor."""
+    modulus = MODULI[k]
+    deg = bits.bit_length() - 1
+    while deg >= k:
+        bits ^= modulus << (deg - k)
+        deg = bits.bit_length() - 1
+    return bits
+
+
+def _clmul(a, b, k):
+    """a b in GF(2^k) by shift and add; used only to build the tables."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+    return _reduce(acc, k)
+
+
+_TABLES = {}  # k -> (exp, log) of GF(2^k), built on first use
+
+
+def _exp_log(k):
+    """(exp, log) for GF(2^k): exp[i] = g^i for 0 <= i < 2 (2^k - 1), so a
+    sum or difference of two logs (shifted by 2^k - 1) indexes exp without
+    a reduction; log[a] for a != 0.  The generator g is the least element
+    of order 2^k - 1: x itself is not always primitive (its order is 51
+    for the k = 8 modulus)."""
+    tables = _TABLES.get(k)
+    if tables is None:
+        order = (1 << k) - 1
+        for g in range(1 if k == 1 else 2, 1 << k):
+            exp = [1] * (2 * order)
+            a = g
+            for i in range(1, order):
+                if a == 1:
+                    break  # order of g divides i < 2^k - 1
+                exp[i] = a
+                a = _clmul(a, g, k)
+            else:
+                break
+        exp[order:] = exp[:order]
+        log = [0] * (order + 1)
+        for i in range(order):
+            log[exp[i]] = i
+        tables = _TABLES[k] = (exp, log)
+    return tables
 
 
 class BinaryField(Field):
-    """GF(2^k), elements as bitmask polynomials mod a fixed irreducible."""
+    """GF(2^k), values as bitmask polynomials mod a fixed irreducible."""
 
     def __init__(self, k):
         if k not in MODULI:
             raise FieldError("unsupported extension degree %d (need 1 <= k <= 16)" % k)
         self.k = k
         self.modulus = MODULI[k]
+        self.order = (1 << k) - 1  # of the multiplicative group
 
     def __eq__(self, other):
         return isinstance(other, BinaryField) and self.k == other.k
@@ -323,61 +361,61 @@ class BinaryField(Field):
     def __repr__(self):
         return "GF(2^%d)" % self.k
 
-    def _wrap(self, raw):
-        return Scalar(self, self._reduce(raw))
+    @cached_property
+    def _exp(self):
+        return _exp_log(self.k)[0]
 
-    def _reduce(self, bits):
-        deg = bits.bit_length() - 1
-        while deg >= self.k:
-            bits ^= self.modulus << (deg - self.k)
-            deg = bits.bit_length() - 1
-        return bits
+    @cached_property
+    def _log(self):
+        return _exp_log(self.k)[1]
 
     def from_int(self, n):
-        return Scalar(self, n % 2)
+        return n % 2
 
-    def _do_add(self, a, b):
-        return Scalar(self, a ^ b)
+    def check_value(self, c):
+        if type(c) is int and 0 <= c <= self.order:
+            return c
+        self._reject(c)
 
-    _do_sub = _do_add
+    def add(self, a, b):
+        return a ^ b
 
-    def _do_neg(self, a):
-        return Scalar(self, a)
+    sub = add
 
-    def _do_mul(self, a, b):
-        acc = 0
-        shift = 0
-        while b:
-            if b & 1:
-                acc ^= a << shift
-            b >>= 1
-            shift += 1
-        return Scalar(self, self._reduce(acc))
+    def neg(self, a):
+        return a
 
-    def _do_div(self, a, b):
-        # b^(2^k - 2) = b^-1
-        inv = Scalar(self, b)
-        result = self.one()
-        e = 2**self.k - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, inv)
-            inv = self.mul(inv, inv)
-            e >>= 1
-        return self.mul(Scalar(self, a), result)
+    def mul(self, a, b):
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
+
+    def div(self, a, b):
+        if not b:
+            self._zero_division()
+        if a:
+            log = self._log
+            return self._exp[log[a] - log[b] + self.order]
+        return 0
+
+    def inv(self, a):
+        if not a:
+            self._zero_division()
+        return self._exp[self.order - self._log[a]]
 
     def sqrt(self, a):
-        # Frobenius: squaring is bijective, so sqrt(a) = a^(2^(k-1)).
-        self._check(a)
-        r = a
-        for _ in range(self.k - 1):
-            r = self.mul(r, r)
-        return r
+        # Frobenius is bijective, and the order 2^k - 1 is odd, so halving
+        # the log (mod the order) inverts squaring.
+        if not a:
+            return 0
+        e = self._log[a]
+        return self._exp[(e if e % 2 == 0 else e + self.order) >> 1]
 
     def parse(self, text):
         text = text.replace(" ", "")
-        if re.fullmatch(r"[01]", text):
-            return self.from_int(int(text))
+        if text in ("0", "1"):
+            return int(text)
         bits = 0
         for part in text.split("+"):
             if part == "1":
@@ -385,24 +423,23 @@ class BinaryField(Field):
             elif part == "x":
                 bits ^= 2
             else:
-                m = re.fullmatch(r"x\^(\d+)", part)
+                m = _X_POWER_RE.fullmatch(part)
                 if not m:
                     raise FieldError("bad GF(2^%d) literal %r" % (self.k, text))
                 bits ^= 1 << int(m.group(1))
-        return self._wrap(bits)
+        return _reduce(bits, self.k)
 
     def to_str(self, a):
-        bits = a.value
-        if bits == 0:
+        if a == 0:
             return "0"
         parts = []
-        for i in range(bits.bit_length() - 1, -1, -1):
-            if bits >> i & 1:
+        for i in range(a.bit_length() - 1, -1, -1):
+            if a >> i & 1:
                 parts.append("1" if i == 0 else ("x" if i == 1 else "x^%d" % i))
         return "+".join(parts)
 
     def elements(self):
-        return [Scalar(self, i) for i in range(2**self.k)]
+        return list(range(self.order + 1))
 
 
 QQ = Rationals()

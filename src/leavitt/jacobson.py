@@ -41,13 +41,21 @@ class JacobsonError(ValueError):
 
 
 class JacobsonElement:
-    """Finite-support map (i, j) -> nonzero Scalar, meaning sum a_ij y^i x^j."""
+    """Finite-support map (i, j) -> nonzero raw field value, meaning
+    sum a_ij y^i x^j."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms):
         self.field = field
-        self.terms = {k: c for k, c in terms.items() if c}
+        self.terms = field.check_terms(terms)
+
+    @classmethod
+    def _make(cls, field, terms):
+        """An element on `terms` as given: zero-free values of `field`."""
+        el = object.__new__(cls)
+        el.field, el.terms = field, terms
+        return el
 
     def _compat(self, other):
         if self.field != other.field:
@@ -55,13 +63,14 @@ class JacobsonElement:
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self.terms)
+        out, add = dict(self.terms), self.field.add
         for k, c in other.terms.items():
-            accumulate(out, k, c)
-        return JacobsonElement(self.field, out)
+            accumulate(out, k, c, add)
+        return self._make(self.field, out)
 
     def __neg__(self):
-        return JacobsonElement(self.field, {k: -c for k, c in self.terms.items()})
+        neg = self.field.neg
+        return self._make(self.field, {k: neg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -69,14 +78,19 @@ class JacobsonElement:
     def __mul__(self, other):
         # (y^i x^j)(y^k x^l) = y^(i + max(0, k-j)) x^(l + max(0, j-k))
         self._compat(other)
-        out = {}
+        out, add, mul = {}, self.field.add, self.field.mul
         for (i, j), c1 in self.terms.items():
             for (k, l), c2 in other.terms.items():
-                accumulate(out, (i + max(0, k - j), l + max(0, j - k)), c1 * c2)
-        return JacobsonElement(self.field, out)
+                accumulate(out, (i + max(0, k - j), l + max(0, j - k)), mul(c1, c2), add)
+        return self._make(self.field, out)
 
     def scale(self, scalar):
-        return JacobsonElement(self.field, {k: c * scalar for k, c in self.terms.items()})
+        field = self.field
+        scalar = field.check_value(scalar)
+        if not scalar:
+            return self._make(field, {})
+        mul = field.mul
+        return self._make(field, {k: mul(c, scalar) for k, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -99,9 +113,8 @@ class JacobsonElement:
             return "0"
         parts = []
         for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
             word = " ".join(["y"] * i + ["x"] * j) or "1"
-            cs = str(c)
+            cs = self.field.to_str(self.terms[(i, j)])
             parts.append(word if cs == "1" else "%s %s" % (cs, word))
         return " + ".join(parts)
 
@@ -110,19 +123,19 @@ class JacobsonElement:
 
 
 def jac_zero(field):
-    return JacobsonElement(field, {})
+    return JacobsonElement._make(field, {})
 
 
 def jac_one(field):
-    return JacobsonElement(field, {(0, 0): field.one()})
+    return JacobsonElement._make(field, {(0, 0): field.one()})
 
 
 def jac_x(field):
-    return JacobsonElement(field, {(0, 1): field.one()})
+    return JacobsonElement._make(field, {(0, 1): field.one()})
 
 
 def jac_y(field):
-    return JacobsonElement(field, {(1, 0): field.one()})
+    return JacobsonElement._make(field, {(1, 0): field.one()})
 
 
 def jac_monomial(field, i, j, coeff=None):
@@ -134,7 +147,7 @@ def jac_matrix_unit(field, i, j):
     if i < 1 or j < 1:
         raise JacobsonError("matrix unit indices must be >= 1")
     one = field.one()
-    return JacobsonElement(field, {(i - 1, j - 1): one, (i, j): -one})
+    return JacobsonElement._make(field, {(i - 1, j - 1): one, (i, j): field.neg(one)})
 
 
 _JTOKEN_RE = re.compile(
@@ -226,16 +239,23 @@ class AlmostToeplitzMatrix:
 
     def __init__(self, field, finitary=None, band=None):
         self.field = field
-        self.finitary = {k: c for k, c in (finitary or {}).items() if c}
-        self.band = {k: c for k, c in (band or {}).items() if c}
+        self.finitary = field.check_terms(finitary or {})
+        self.band = field.check_terms(band or {})
+
+    @classmethod
+    def _make(cls, field, finitary, band):
+        """A matrix on the dicts as given: zero-free values of `field`."""
+        m = object.__new__(cls)
+        m.field, m.finitary, m.band = field, finitary, band
+        return m
 
     @classmethod
     def zero(cls, field):
-        return cls(field)
+        return cls._make(field, {}, {})
 
     @classmethod
     def identity(cls, field):
-        return cls(field, band={0: field.one()})
+        return cls._make(field, {}, {0: field.one()})
 
     @classmethod
     def unit(cls, field, i, j, coeff=None):
@@ -246,86 +266,87 @@ class AlmostToeplitzMatrix:
     @classmethod
     def shift_down(cls, field):
         """The matrix sum e_{i+1,i} (image of y)."""
-        return cls(field, band={-1: field.one()})
+        return cls._make(field, {}, {-1: field.one()})
 
     @classmethod
     def shift_up(cls, field):
         """The matrix sum e_{i,i+1} (image of x)."""
-        return cls(field, band={1: field.one()})
+        return cls._make(field, {}, {1: field.one()})
 
     def _compat(self, other):
         if self.field != other.field:
             raise JacobsonError("matrices over different fields")
 
     def entry(self, i, j):
-        v = self.field.zero()
-        b = self.band.get(j - i)
-        if b:
-            v = v + b
-        f = self.finitary.get((i, j))
-        if f:
-            v = v + f
-        return v
+        return self.field.add(self.band.get(j - i, 0), self.finitary.get((i, j), 0))
 
     def __add__(self, other):
         self._compat(other)
-        fin, band = dict(self.finitary), dict(self.band)
+        fin, band, add = dict(self.finitary), dict(self.band), self.field.add
         for out, terms in ((fin, other.finitary), (band, other.band)):
             for k, c in terms.items():
-                accumulate(out, k, c)
-        return AlmostToeplitzMatrix(self.field, fin, band)
+                accumulate(out, k, c, add)
+        return self._make(self.field, fin, band)
 
     def __neg__(self):
-        return AlmostToeplitzMatrix(
+        neg = self.field.neg
+        return self._make(
             self.field,
-            {k: -c for k, c in self.finitary.items()},
-            {k: -c for k, c in self.band.items()},
+            {k: neg(c) for k, c in self.finitary.items()},
+            {k: neg(c) for k, c in self.band.items()},
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        return AlmostToeplitzMatrix(
-            self.field,
-            {k: c * scalar for k, c in self.finitary.items()},
-            {k: c * scalar for k, c in self.band.items()},
+        field = self.field
+        scalar = field.check_value(scalar)
+        if not scalar:
+            return self._make(field, {}, {})
+        mul = field.mul
+        return self._make(
+            field,
+            {k: mul(c, scalar) for k, c in self.finitary.items()},
+            {k: mul(c, scalar) for k, c in self.band.items()},
         )
 
     def __mul__(self, other):
         self._compat(other)
         fin = {}
         band = {}
+        add, mul, neg = self.field.add, self.field.mul, self.field.neg
         # band x band: c^(k) c^(l) = c^(k+l) minus the rows whose middle
         # index i + k would fall below 1
         for k, c1 in self.band.items():
             for l, c2 in other.band.items():
-                c = c1 * c2
-                accumulate(band, k + l, c)
+                c = mul(c1, c2)
+                accumulate(band, k + l, c, add)
                 if k < 0:
+                    c = neg(c)
                     for i in range(max(1, 1 - (k + l)), -k + 1):
-                        accumulate(fin, (i, i + k + l), -c)
+                        accumulate(fin, (i, i + k + l), c, add)
         # band x finitary: c^(k) e_ab = e_{a-k, b}
         for k, c1 in self.band.items():
             for (a, b), c2 in other.finitary.items():
                 if a - k >= 1:
-                    accumulate(fin, (a - k, b), c1 * c2)
+                    accumulate(fin, (a - k, b), mul(c1, c2), add)
         # finitary x band: e_ab c^(k) = e_{a, b+k}
         for (a, b), c1 in self.finitary.items():
             for k, c2 in other.band.items():
                 if b + k >= 1:
-                    accumulate(fin, (a, b + k), c1 * c2)
+                    accumulate(fin, (a, b + k), mul(c1, c2), add)
         # finitary x finitary
         cols = {}
         for (a, b), c in other.finitary.items():
             cols.setdefault(a, []).append((b, c))
         for (a, b), c1 in self.finitary.items():
             for (b2, c2) in cols.get(b, []):
-                accumulate(fin, (a, b2), c1 * c2)
-        return AlmostToeplitzMatrix(self.field, fin, band)
+                accumulate(fin, (a, b2), mul(c1, c2), add)
+        return self._make(self.field, fin, band)
 
     def transpose(self):
-        return AlmostToeplitzMatrix(
+        return self._make(
             self.field,
             {(j, i): c for (i, j), c in self.finitary.items()},
             {-k: c for k, c in self.band.items()},
@@ -356,21 +377,21 @@ class AlmostToeplitzMatrix:
         return n
 
     def block(self, n):
-        """Dense n x n top-left block as lists of Scalars."""
+        """Dense n x n top-left block as lists of raw values."""
         return [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
     def to_json(self):
+        s = self.field.to_str
         return {
-            "finitary": [
-                [i, j, str(c)] for (i, j), c in sorted(self.finitary.items())
-            ],
-            "band": [[k, str(c)] for k, c in sorted(self.band.items())],
+            "finitary": [[i, j, s(c)] for (i, j), c in sorted(self.finitary.items())],
+            "band": [[k, s(c)] for k, c in sorted(self.band.items())],
         }
 
     def __repr__(self):
+        s = self.field.to_str
         return "AlmostToeplitz(band=%r, finitary=%r)" % (
-            {k: str(c) for k, c in sorted(self.band.items())},
-            {k: str(c) for k, c in sorted(self.finitary.items())},
+            {k: s(c) for k, c in sorted(self.band.items())},
+            {k: s(c) for k, c in sorted(self.finitary.items())},
         )
 
 
@@ -383,22 +404,21 @@ def invert_id_plus_finitary(m):
     alpha = m.band.get(0)
     if alpha is None or set(m.band) - {0}:
         raise JacobsonError("matrix is not of the form alpha Id + finitary")
+    field = m.field
+    inv_alpha = field.inv(alpha)
     n = m.support_bound()
     if n == 0:
-        return AlmostToeplitzMatrix(m.field, band={0: m.field.inv(alpha)})
-    inv_block = invert_block(m.field, m.block(n), n)
+        return AlmostToeplitzMatrix._make(field, {}, {0: inv_alpha})
+    inv_block = invert_block(field, m.block(n), n)
     if inv_block is None:
         return None
-    inv_alpha = m.field.inv(alpha)
     fin = {}
-    for i in range(n):
-        for j in range(n):
-            c = inv_block[i][j]
-            if i == j:
-                c = c - inv_alpha
+    for i, row in enumerate(inv_block):
+        row[i] = field.sub(row[i], inv_alpha)
+        for j, c in enumerate(row):
             if c:
                 fin[(i + 1, j + 1)] = c
-    return AlmostToeplitzMatrix(m.field, fin, {0: inv_alpha})
+    return AlmostToeplitzMatrix._make(field, fin, {0: inv_alpha})
 
 
 def jac_to_matrix(a):
@@ -431,10 +451,10 @@ def jac_quotient_laurent(a):
     """Quotient map y -> t, x -> t^-1 onto F[t, t^-1]."""
     from .laurent import LaurentPoly
 
-    out = {}
+    out, add = {}, a.field.add
     for (i, j), c in a.terms.items():
-        accumulate(out, i - j, c)
-    return LaurentPoly(a.field, out)
+        accumulate(out, i - j, c, add)
+    return LaurentPoly._make(a.field, out)
 
 
 def matrix_to_jacobson(field, fin):

@@ -20,21 +20,28 @@ __all__ = [
 
 
 class LaurentPoly:
-    """Finite-support map exponent -> nonzero Scalar."""
+    """Finite-support map exponent -> nonzero raw field value."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=None):
         self.field = field
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+        self.coeffs = field.check_terms(coeffs or {})
+
+    @classmethod
+    def _make(cls, field, coeffs):
+        """A polynomial on `coeffs` as given: zero-free values of `field`."""
+        p = object.__new__(cls)
+        p.field, p.coeffs = field, coeffs
+        return p
 
     @classmethod
     def zero(cls, field):
-        return cls(field)
+        return cls._make(field, {})
 
     @classmethod
     def one(cls, field):
-        return cls(field, {0: field.one()})
+        return cls._make(field, {0: field.one()})
 
     @classmethod
     def monomial(cls, field, exponent, coeff=None):
@@ -46,31 +53,37 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self.coeffs)
+        out, add = dict(self.coeffs), self.field.add
         for e, c in other.coeffs.items():
-            accumulate(out, e, c)
-        return LaurentPoly(self.field, out)
+            accumulate(out, e, c, add)
+        return self._make(self.field, out)
 
     def __neg__(self):
-        return LaurentPoly(self.field, {e: -c for e, c in self.coeffs.items()})
+        neg = self.field.neg
+        return self._make(self.field, {e: neg(c) for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._compat(other)
-        out = {}
+        out, add, mul = {}, self.field.add, self.field.mul
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                accumulate(out, e1 + e2, c1 * c2)
-        return LaurentPoly(self.field, out)
+                accumulate(out, e1 + e2, mul(c1, c2), add)
+        return self._make(self.field, out)
 
     def scale(self, scalar):
-        return LaurentPoly(self.field, {e: c * scalar for e, c in self.coeffs.items()})
+        field = self.field
+        scalar = field.check_value(scalar)
+        if not scalar:
+            return self._make(field, {})
+        mul = field.mul
+        return self._make(field, {e: mul(c, scalar) for e, c in self.coeffs.items()})
 
     def substitute_inverse(self):
         """t -> t^-1."""
-        return LaurentPoly(self.field, {-e: c for e, c in self.coeffs.items()})
+        return self._make(self.field, {-e: c for e, c in self.coeffs.items()})
 
     def is_unit(self):
         """Units of F[t, t^-1] are the nonzero monomials."""
@@ -94,8 +107,7 @@ class LaurentPoly:
             return "0"
         parts = []
         for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            cs = str(c)
+            cs = self.field.to_str(self.coeffs[e])
             if e == 0:
                 parts.append(cs)
                 continue
@@ -301,7 +313,7 @@ def verify_cycle_iso(g, cycle, maxlen, field):
         for m2, (i2, j2, n2, c2) in monos:
             lhs = _image_units(g, m1 * m2, pi, index, d)
             if j1 == i2:
-                rhs = ((i1, j2, n1 + n2, c1 * c2),)
+                rhs = ((i1, j2, n1 + n2, field.mul(c1, c2)),)
             else:
                 rhs = ()
             if lhs != rhs:

@@ -1,9 +1,10 @@
 """Exact incremental Gaussian elimination over sparse coordinate dicts.
 
-Rows are dicts mapping arbitrary hashable coordinates to nonzero Scalars.
-Used for span dimensions, basis extraction and finite-block inversion.
-`accumulate` is the one sparse update every coefficient dict in the
-package goes through, so no dict ever stores a zero.
+Rows are dicts mapping arbitrary hashable coordinates to nonzero raw
+field values (see `fields`).  Used for span dimensions, basis extraction
+and finite-block inversion.  `accumulate` is the one sparse update every
+coefficient dict in the package goes through, so no dict ever stores a
+zero.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 __all__ = ["accumulate", "SpanBasis", "span_rank", "invert_block"]
 
 
-def accumulate(out, key, c):
-    """out[key] += c for a nonzero c; the key is dropped when the sum cancels."""
+def accumulate(out, key, c, add):
+    """out[key] += c for a nonzero c, with `add` the field's addition; the
+    key is dropped when the sum cancels."""
     old = out.get(key)
     if old is not None:
-        c = old + c
+        c = add(old, c)
         if not c:
             del out[key]
             return
@@ -31,6 +33,8 @@ class SpanBasis:
 
     def reduce(self, row):
         """Reduce a row against the basis; returns the (possibly zero) residue."""
+        field = self.field
+        add, mul = field.add, field.mul
         row = dict(row)
         # pivot rows may contain later pivots, so iterate to a fixed point;
         # each elimination only reintroduces pivots inserted after it
@@ -38,9 +42,9 @@ class SpanBasis:
             hit = next((c for c in row if c in self.pivots), None)
             if hit is None:
                 break
-            c = -row[hit]
+            c = field.neg(row[hit])
             for k, v in self.pivots[hit].items():
-                accumulate(row, k, c * v)
+                accumulate(row, k, mul(c, v), add)
         return row
 
     def add(self, row):
@@ -49,9 +53,8 @@ class SpanBasis:
         if not residue:
             return False
         pivot = next(iter(residue))
-        inv = self.field.inv(residue[pivot])
-        normalized = {k: v * inv for k, v in residue.items()}
-        self.pivots[pivot] = normalized
+        mul, inv = self.field.mul, self.field.inv(residue[pivot])
+        self.pivots[pivot] = {k: mul(v, inv) for k, v in residue.items()}
         return True
 
     def contains(self, row):
@@ -70,22 +73,22 @@ def span_rank(field, rows):
 
 
 def invert_block(field, block, n):
-    """Invert an n x n dense matrix (list of lists of Scalars); None if singular."""
-    zero, one = field.zero(), field.one()
-    aug = [
-        [block[i][j] for j in range(n)]
-        + [one if i == j else zero for j in range(n)]
-        for i in range(n)
-    ]
+    """Invert an n x n dense matrix (lists of raw values); None if singular."""
+    mul, sub = field.mul, field.sub
+    aug = [list(block[i][:n]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = field.inv(aug[col][col])
-        aug[col] = [x * inv for x in aug[col]]
+        prow = aug[col] = [mul(x, inv) for x in aug[col]]
+        # only the columns where the pivot row is nonzero change
+        live = [j for j in range(col, 2 * n) if prow[j]]
         for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
+            c = aug[r][col]
+            if r != col and c:
+                row = aug[r]
+                for j in live:
+                    row[j] = sub(row[j], mul(c, prow[j]))
     return [row[n:] for row in aug]

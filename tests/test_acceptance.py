@@ -352,9 +352,9 @@ def test_criterion_10_automorphism_group():
                 assert aut_apply(aut_compose(phi, psi), a) == aut_apply(
                     psi, aut_apply(phi, a)
                 )
-            assert induced_scalar(aut_compose(phi, psi)) == induced_scalar(
-                phi
-            ) * induced_scalar(psi)
+            assert induced_scalar(aut_compose(phi, psi)) == field.mul(
+                induced_scalar(phi), induced_scalar(psi)
+            )
     field = make_field("Q")
     rng = random.Random(31415)
     m = 6

@@ -246,3 +246,36 @@ def test_no_square_root_over_Q():
     T = AlmostToeplitzMatrix.identity(field).scale(field.from_int(2))
     with pytest.raises(NoSquareRootError):
         congruence_decompose(T)
+
+
+def test_each_conjugator_is_inverted_once(monkeypatch):
+    """The singularity check's inverse is kept and reused; it stays out of
+    equality, repr and to_dict."""
+    import leavitt.automorphisms as au
+
+    field = make_field("gf5")
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return invert_id_plus_finitary(m)
+
+    monkeypatch.setattr(au, "invert_id_plus_finitary", counting)
+    g = AlmostToeplitzMatrix.identity(field) + AlmostToeplitzMatrix.unit(field, 1, 2, 3)
+    phi = ToeplitzAutomorphism(2, g)
+    assert len(calls) == 1
+    assert phi.g_inv * g == AlmostToeplitzMatrix.identity(field)
+    c = AlmostToeplitzMatrix.shift_down(field)
+    aut_apply(phi, c)
+    aut_apply(phi, c)
+    assert len(calls) == 1
+    assert aut_apply(phi, aut_apply(aut_invert(phi), c)) == c
+    assert len(calls) == 2  # the check of the inverse automorphism's conjugator
+    assert phi == ToeplitzAutomorphism(2, g)
+    assert "g_inv" not in repr(phi) and "g_inv" not in phi.to_dict()
+    T = AlmostToeplitzMatrix.identity(field) + AlmostToeplitzMatrix.unit(field, 1, 1, 1)
+    iota = Involution(T)
+    calls.clear()
+    assert involution_apply(iota, involution_apply(iota, c)) == c
+    assert calls == []
+    assert "T_inv" not in repr(iota)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from leavitt.cli import main
+from leavitt.cli import MAX_FINITARY_INDEX, main
 
 from .conftest import graph_path
 
@@ -266,3 +266,23 @@ def test_toeplitz_aut_file_count(tmp_path, capsys):
     assert "argument --apply: needs exactly one automorphism file, got 2" in err
     err = _usage_error(capsys, "toeplitz", "aut", str(f), str(f), str(f), "--compose")
     assert "argument --compose: needs exactly two automorphism files, got 3" in err
+
+
+def test_finitary_index_cap(tmp_path, capsys):
+    """An index past MAX_FINITARY_INDEX would ask for a dense block of that
+    size; the loader refuses it, naming the file, the record and the cap."""
+    cap = MAX_FINITARY_INDEX
+    assert cap >= 60
+    named = "indices must be <= MAX_FINITARY_INDEX = %d" % cap
+    over = [cap + 1, 1, "1"]
+    doc = {"alpha": "1", "g": {"finitary": [over]}}
+    err = _bad_document(tmp_path, capsys, doc, "aut", "--apply", "c")
+    assert "g: finitary record %s: %s" % (json.dumps(over), named) in err
+    doc = {"T": {"finitary": [[1, cap + 1, "1"], [cap + 1, 1, "1"]], "band": [[0, "1"]]}}
+    err = _bad_document(tmp_path, capsys, doc, "involution")
+    assert named in err
+    f = tmp_path / "at_cap.json"
+    f.write_text(json.dumps({"alpha": "1", "g": {"finitary": [[cap, cap, "1"]]}}))
+    code, out, err = run(capsys, "toeplitz", "aut", str(f), "--apply", "c", "--json")
+    assert code == 0
+    assert json.loads(out)["band"] == [[-1, "1"]]

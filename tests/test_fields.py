@@ -1,4 +1,5 @@
-"""Field arithmetic, parsing, square roots, and the GF(2^k) modulus table."""
+"""Field arithmetic, parsing, square roots, the GF(2^k) modulus table and
+the GF(2^k) exp/log tables, checked against a shift-and-reduce multiply."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from leavitt.fields import (
     BinaryField,
     FieldError,
     PrimeField,
+    _exp_log,
     make_field,
 )
 
@@ -31,10 +33,10 @@ def test_rational_arithmetic():
     f = make_field("Q")
     a = f.parse("2/3")
     b = f.parse("5")
-    assert (a * b).value == Fraction(10, 3)
-    assert (a / b).value == Fraction(2, 15)
-    assert (a - a).value == 0
-    assert str(f.parse("-7/2")) == "-7/2"
+    assert f.mul(a, b) == Fraction(10, 3)
+    assert f.div(a, b) == Fraction(2, 15)
+    assert f.sub(a, a) == 0
+    assert f.to_str(f.parse("-7/2")) == "-7/2"
 
 
 def test_rational_sqrt():
@@ -47,12 +49,12 @@ def test_rational_sqrt():
 
 def test_prime_field_basics():
     f = PrimeField(5)
-    assert (f.from_int(3) * f.from_int(4)).value == 2
-    assert (f.from_int(1) / f.from_int(3)).value == 2
+    assert f.mul(f.from_int(3), f.from_int(4)) == 2
+    assert f.div(f.from_int(1), f.from_int(3)) == 2
     # every element of GF(2) has a square root (Frobenius is onto)
     g = PrimeField(2)
     for a in g.elements():
-        assert g.sqrt(a) * g.sqrt(a) == a
+        assert g.mul(g.sqrt(a), g.sqrt(a)) == a
 
 
 def test_prime_field_sqrt_unsupported():
@@ -64,10 +66,10 @@ def test_prime_field_sqrt_unsupported():
 def test_gf4_worked_example():
     f = BinaryField(2)
     x = f.parse("x")
-    assert x * x == f.parse("x+1")
+    assert f.mul(x, x) == f.parse("x+1")
     s = f.sqrt(x)
     assert s == f.parse("x+1")
-    assert s * s == x
+    assert f.mul(s, s) == x
 
 
 def test_binary_field_sqrt_is_frobenius_inverse():
@@ -75,13 +77,13 @@ def test_binary_field_sqrt_is_frobenius_inverse():
         f = BinaryField(k)
         for a in f.elements():
             s = f.sqrt(a)
-            assert s * s == a
+            assert f.mul(s, s) == a
 
 
 def test_binary_field_parse_roundtrip():
     f = BinaryField(4)
     for a in f.elements():
-        assert f.parse(str(a)) == a
+        assert f.parse(f.to_str(a)) == a
 
 
 def test_field_axioms_random():
@@ -93,13 +95,14 @@ def test_field_axioms_random():
         else:
             elems = f.elements()
             pick = lambda: rng.choice(elems)
+        add, mul = f.add, f.mul
         for _ in range(60):
             a, b, c = pick(), pick(), pick()
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
             if b:
-                assert (a / b) * b == a
+                assert mul(f.div(a, b), b) == a
 
 
 def _is_irreducible_gf2(mask, k):
@@ -144,3 +147,101 @@ def test_moduli_table_irreducible():
             assert mask in (0b10, 0b11)
             continue
         assert _is_irreducible_gf2(mask, k)
+
+
+def _ref_mul(a, b, k):
+    """a b in GF(2^k) by shift and add, reducing by MODULI[k] bit by bit."""
+    mask = MODULI[k]
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> k & 1:
+            a ^= mask
+    return out
+
+
+def _ref_pow(a, e, k):
+    r = 1
+    while e:
+        if e & 1:
+            r = _ref_mul(r, a, k)
+        a = _ref_mul(a, a, k)
+        e >>= 1
+    return r
+
+
+def _prime_factors(n):
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_binary_tables_match_shift_and_reduce_on_every_pair(k):
+    f = BinaryField(k)
+    elems = f.elements()
+    for a in elems:
+        for b in elems:
+            assert f.mul(a, b) == _ref_mul(a, b, k)
+        if a:
+            assert _ref_mul(a, f.inv(a), k) == 1
+            assert f.div(a, a) == 1
+        s = f.sqrt(a)
+        assert _ref_mul(s, s, k) == a
+
+
+@pytest.mark.parametrize("k", range(9, 17))
+def test_binary_tables_match_shift_and_reduce_on_random_pairs(k):
+    f = BinaryField(k)
+    rng = random.Random(900 + k)
+    for _ in range(2000):
+        a, b = rng.randrange(2**k), rng.randrange(2**k)
+        assert f.mul(a, b) == _ref_mul(a, b, k)
+        if b:
+            assert _ref_mul(f.div(a, b), b, k) == a
+            assert _ref_mul(b, f.inv(b), k) == 1
+        s = f.sqrt(a)
+        assert _ref_mul(s, s, k) == a
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_table_generator_is_primitive(k):
+    exp, log = _exp_log(k)
+    order = 2**k - 1
+    g = exp[1 % order]
+    assert _ref_pow(g, order, k) == 1
+    for p in _prime_factors(order):
+        assert _ref_pow(g, order // p, k) != 1
+    assert sorted(exp[:order]) == list(range(1, 2**k))
+    assert all(exp[log[a]] == a for a in range(1, 2**k))
+
+
+def test_x_is_not_primitive_for_the_k8_modulus():
+    assert _ref_pow(0b10, 51, 8) == 1
+    assert _exp_log(8)[0][1] != 0b10
+
+
+def test_check_value_rejects_foreign_values():
+    cases = [
+        (make_field("Q"), [2, -3, Fraction(1, 2)], [1.5, "1", True, None]),
+        (PrimeField(5), [0, 4], [5, -1, Fraction(1, 2), True]),
+        (BinaryField(8), [0, 255], [256, -1, 2.0]),
+    ]
+    for f, good, bad in cases:
+        for c in good:
+            assert f.check_value(c) == c
+        for c in bad:
+            with pytest.raises(FieldError):
+                f.check_value(c)
+    # Q keeps integral values as ints
+    assert type(make_field("Q").check_value(Fraction(4, 2))) is int
+    assert type(make_field("Q").div(6, 3)) is int

@@ -164,7 +164,7 @@ def test_matrix_entry_consistency(F):
             for j in range(1, n + 1):
                 acc = F.zero()
                 for k in range(1, 2 * n + 2):
-                    acc = acc + ma.entry(i, k) * mb.entry(k, j)
+                    acc = F.add(acc, F.mul(ma.entry(i, k), mb.entry(k, j)))
                 assert acc == mprod.entry(i, j)
 
 

@@ -5,19 +5,22 @@ no dict stores a zero.  A differential test runs the Jacobson engine
 against the Leavitt path algebra engine through the embedding of
 A = <x, y | xy = 1> into the v1 corner of the Toeplitz graph
 (y -> c, x -> c*, 1 -> v1); an invariant test checks that no sum,
-difference or product leaves a zero behind in any stored dict.  Element
-constructors drop zeros too, so `SpanBasis` rows, which no constructor
-sees, are the ones that rest on the kernel alone.
+difference or product leaves a zero behind in any stored dict.  Sums,
+differences and products build their results without the public
+constructors' zero filter, so those dicts, like `SpanBasis` rows, rest on
+the kernel alone.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from leavitt import algebra as alg
-from leavitt.fields import make_field
+from leavitt.automorphisms import ToeplitzAutomorphism
+from leavitt.fields import FieldError, make_field
 from leavitt.graphs import Path
-from leavitt.jacobson import AlmostToeplitzMatrix, JacobsonElement
+from leavitt.jacobson import AlmostToeplitzMatrix, JacobsonElement, jac_monomial, jac_one
 from leavitt.laurent import LaurentPoly
 from leavitt.linalg import SpanBasis, accumulate
 
@@ -113,12 +116,12 @@ def test_no_stored_zeros_after_arithmetic(fname):
 
 def test_accumulate_adds_and_cancels(QQ):
     d = {}
-    accumulate(d, "k", QQ.one())
+    accumulate(d, "k", QQ.one(), QQ.add)
     assert d == {"k": QQ.one()}
-    accumulate(d, "k", QQ.one())
+    accumulate(d, "k", QQ.one(), QQ.add)
     assert d == {"k": QQ.from_int(2)}
-    accumulate(d, "j", QQ.one())
-    accumulate(d, "k", QQ.from_int(-2))
+    accumulate(d, "j", QQ.one(), QQ.add)
+    accumulate(d, "k", QQ.from_int(-2), QQ.add)
     assert d == {"j": QQ.one()}
 
 
@@ -134,3 +137,33 @@ def test_span_rows_hold_no_zeros(fname):
         basis.add(row)
         assert _zero_free(basis.pivots.values())
     assert basis.rank == 8
+
+
+@pytest.mark.parametrize(
+    "fname, bad", [("Q", 0.5), ("Q", True), ("gf5", 5), ("gf3", Fraction(1, 2)), ("gf2^4", 16)]
+)
+def test_entry_points_check_caller_values(fname, bad):
+    """A coefficient from a caller is checked where it enters an element;
+    one outside the field is a FieldError."""
+    field = make_field(fname)
+    g = load("toeplitz")
+    m = alg.enumerate_basis(g, field, 1)[0]
+    atm = AlmostToeplitzMatrix
+    calls = [
+        lambda: alg.AlgebraElement(g, field, {m: bad}),
+        lambda: alg.vertex_element(g, field, "v1").scale(bad),
+        lambda: JacobsonElement(field, {(0, 0): bad}),
+        lambda: jac_monomial(field, 1, 2, bad),
+        lambda: jac_one(field).scale(bad),
+        lambda: LaurentPoly(field, {0: bad}),
+        lambda: LaurentPoly.monomial(field, 3, bad),
+        lambda: LaurentPoly.one(field).scale(bad),
+        lambda: atm(field, {(1, 1): bad}),
+        lambda: atm(field, band={0: bad}),
+        lambda: atm.unit(field, 1, 2, bad),
+        lambda: atm.identity(field).scale(bad),
+        lambda: ToeplitzAutomorphism(bad, atm.identity(field)),
+    ]
+    for call in calls:
+        with pytest.raises(FieldError):
+            call()

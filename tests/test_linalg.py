@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from leavitt.fields import make_field
 from leavitt.linalg import SpanBasis, invert_block, span_rank
 
@@ -63,14 +65,52 @@ def test_invert_block():
         [field.zero(), field.from_int(3)],
     ]
     inv = invert_block(field, block, 2)
-    for i in range(2):
-        for j in range(2):
-            acc = field.zero()
-            for k in range(2):
-                acc = acc + block[i][k] * inv[k][j]
-            assert acc == (field.one() if i == j else field.zero())
+    assert _matmul(field, block, inv) == _identity(2)
     singular = [
         [field.one(), field.zero()],
         [field.one(), field.zero()],
     ]
     assert invert_block(field, singular, 2) is None
+
+
+def _matmul(field, a, b):
+    n = len(a)
+    out = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = field.add(out[i][j], field.mul(a[i][k], b[k][j]))
+    return out
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("fname", ["Q", "gf7", "gf2^8"])
+def test_invert_block_random(fname):
+    """invert_block(A) A = A invert_block(A) = I, and None iff singular
+    (half of the blocks get a last row that is a multiple of the first)."""
+    field = make_field(fname)
+    rng = random.Random(4242 + len(fname))
+    if fname == "Q":
+        pick = lambda: field.parse("%d/%d" % (rng.randint(-5, 5), rng.randint(1, 4)))
+    else:
+        elems = field.elements()
+        pick = lambda: rng.choice(elems)
+    inverted = 0
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        a = [[pick() for _ in range(n)] for _ in range(n)]
+        if trial % 2 and n > 1:
+            c = pick()
+            a[n - 1] = [field.mul(c, x) for x in a[0]]
+            assert invert_block(field, a, n) is None
+            continue
+        inv = invert_block(field, a, n)
+        if inv is None:
+            continue  # a random block may be singular
+        inverted += 1
+        assert _matmul(field, inv, a) == _identity(n)
+        assert _matmul(field, a, inv) == _identity(n)
+    assert inverted >= 20
