@@ -15,6 +15,9 @@ independent, which the test suite checks by rank computations.
 
 from __future__ import annotations
 
+import re
+
+from .expr import ParseError, parse_expression
 from .graphs import Path, GraphError
 from .linalg import SpanBasis, accumulate
 
@@ -41,14 +44,6 @@ __all__ = [
 
 class AlgebraError(ValueError):
     """Graph/field mismatch or invalid algebra operation."""
-
-
-class ParseError(AlgebraError):
-    """Expression syntax error; carries the offending position."""
-
-    def __init__(self, message, pos):
-        self.pos = pos
-        super().__init__("%s (at position %d)" % (message, pos))
 
 
 class Monomial:
@@ -390,149 +385,38 @@ def span_dimension(elements):
     return basis.rank
 
 
-# ---------------------------------------------------------------------------
-# expression parser
-#
-# expr   := [ "+" | "-" ] term { ("+" | "-") term }
-# term   := [ scalar ] factor { "*"? factor }
-# factor := id [ "'" ] | "(" expr ")"
-#
-# Scalar literals: integers, a/b rationals, and (for GF(2^k) fields) modulus
-# polynomials written without spaces, e.g. "x^2+x+1".  Ids are graph vertex
-# or edge identifiers; a trailing apostrophe is the ghost edge e*.
-# ---------------------------------------------------------------------------
-
-import re as _re
-
-_TOKEN_RE = _re.compile(
+_TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<gfpoly>x\^\d+(?:\+(?:x\^\d+|x|1))*|x(?:\+(?:x\^\d+|x|1))+)
-  | (?P<number>\d+(?:/\d+)?)
+    \s+
+  | (?P<scalar>x\^\d+(?:\+(?:x\^\d+|x|1))*|x(?:\+(?:x\^\d+|x|1))+|\d+(?:/\d+)?)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*'?)
   | (?P<op>[+\-*()])
     """,
-    _re.VERBOSE,
+    re.VERBOSE,
 )
 
 
-def _tokenize(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def parse_element(text, g, field, bindings=None):
+    """Parse an expression (grammar in `leavitt.expr`) into a normal-form element.
 
+    Scalars are integers, a/b rationals and, over GF(2^k), polynomials
+    without spaces such as "x^2+x+1".  Atoms are vertex and edge ids and the
+    names in `bindings` (elements computed earlier); a trailing apostrophe
+    on an edge or a name is its ghost, e.g. c' = c*.
+    """
+    bindings = bindings or {}
 
-class _Parser:
-    def __init__(self, text, g, field, bindings=None):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.g = g
-        self.field = field
-        self.bindings = bindings or {}
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self):
-        el = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError("unexpected %r" % val, pos)
-        return el
-
-    def expr(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            el = self.term()
-            if val == "-":
-                el = -el
-        else:
-            el = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                el = el + rhs if val == "+" else el - rhs
-            else:
-                return el
-
-    def term(self):
-        coeff = self.field.one()
-        saw_scalar = False
-        kind, val, pos = self.peek()
-        if kind in ("number", "gfpoly"):
-            self.next()
-            coeff = self._scalar(kind, val, pos)
-            saw_scalar = True
-        el = None
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                continue
-            if kind == "id" or (kind == "op" and val == "("):
-                factor = self.factor()
-                el = factor if el is None else el * factor
-            else:
-                break
-        if el is None:
-            if not saw_scalar:
-                kind, val, pos = self.peek()
-                raise ParseError("expected a term, got %r" % val, pos)
-            # a bare scalar multiplies the identity (sum of vertices)
-            el = identity_element(self.g, self.field)
-        return el.scale(coeff)
-
-    def factor(self):
-        kind, val, pos = self.next()
-        if kind == "op" and val == "(":
-            el = self.expr()
-            kind, val, pos = self.next()
-            if not (kind == "op" and val == ")"):
-                raise ParseError("expected ')'", pos)
-            return el
-        if kind != "id":
-            raise ParseError("expected identifier", pos)
-        ghost = val.endswith("'")
-        name = val[:-1] if ghost else val
-        if name in self.g.vertices:
+    def atom(val, pos):
+        name = val.rstrip("'")
+        ghost = name != val
+        if name in g.vertices:
             if ghost:
                 raise ParseError("vertex %r cannot carry a ghost mark" % name, pos)
-            return vertex_element(self.g, self.field, name)
-        if name in self.g._edge_map():
-            if ghost:
-                return ghost_element(self.g, self.field, name)
-            return edge_element(self.g, self.field, name)
-        if name in self.bindings:
-            el = self.bindings[name]
-            return el.star() if ghost else el
+            return vertex_element(g, field, name)
+        if name in g._edge_map():
+            return (ghost_element if ghost else edge_element)(g, field, name)
+        if name in bindings:
+            return bindings[name].star() if ghost else bindings[name]
         raise ParseError("unknown id %r" % name, pos)
 
-    def _scalar(self, kind, val, pos):
-        try:
-            return self.field.parse(val)
-        except Exception as exc:
-            raise ParseError("bad scalar literal %r: %s" % (val, exc), pos)
-
-
-def parse_element(text, g, field, bindings=None):
-    """Parse an expression string into a normal-form element.
-
-    `bindings` maps names to previously computed elements (CLI let-bindings).
-    """
-    return _Parser(text, g, field, bindings).parse()
+    return parse_expression(text, _TOKEN_RE, atom, lambda: identity_element(g, field), field)

@@ -21,7 +21,9 @@ from . import automorphisms as au
 from . import graphs as gr
 from . import jacobson as jb
 from . import structure as st
+from .expr import ParseError
 from .fields import FieldError, make_field
+from .graphs import DocumentError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -29,9 +31,13 @@ EXIT_GROWTH = 3
 EXIT_ALGEBRA = 4
 EXIT_CAPABILITY = 5
 
-# Largest finitary index a toeplitz aut/involution JSON file may use: the
-# conjugator is inverted as a dense block of that size.
+# Largest finitary index a toeplitz aut/involution JSON file, an
+# `--apply 'e i j'` target or `toeplitz units` may use: the conjugator is
+# inverted as a dense block of that size.
 MAX_FINITARY_INDEX = 256
+# Largest `toeplitz probe -n`: the corner dimensions take about n^2 time
+# (0.4 s at n = 400 on a 2-vCPU x86-64 host, over 20 s at n = 3000).
+MAX_PROBE_N = 400
 
 
 def _emit(args, text, doc):
@@ -98,10 +104,13 @@ def cmd_calc(args):
         if "=" in expr:
             name, body = expr.split("=", 1)
             name = name.strip()
+            readable = name.isascii() and name.isidentifier()  # a calc id token
+            if not readable or name in g.vertices or name in g._edge_map():  # ids shadow it
+                raise ParseError("cannot bind %r: not an id token, or a graph id" % name, 0)
         el = alg.parse_element(body, g, field, bindings)
         if args.star:
             el = el.star()
-        if name:
+        if name is not None:
             bindings[name] = el
             lines.append("%s = %s" % (name, el.format()))
         else:
@@ -111,9 +120,17 @@ def cmd_calc(args):
     return EXIT_OK
 
 
+def _check_unit_indices(i, j):
+    if max(i, j) > MAX_FINITARY_INDEX:
+        raise jb.JacobsonError(
+            "matrix unit indices must be <= MAX_FINITARY_INDEX = %d" % MAX_FINITARY_INDEX
+        )
+
+
 def cmd_toeplitz_units(args):
     field = make_field(args.field)
     i, j = args.i, args.j
+    _check_unit_indices(i, j)
     el = jb.jac_matrix_unit(field, i, j)
     factored = " ".join(["y"] * (i - 1) + ["(1 - y x)"] + ["x"] * (j - 1))
     _emit(
@@ -141,10 +158,6 @@ def cmd_toeplitz_probe(args):
         lines.append("closure defect: %s" % cert.witness.format())
     _emit(args, "\n".join(lines), doc)
     return EXIT_OK
-
-
-class DocumentError(ValueError):
-    """A JSON input file that does not have the documented shape."""
 
 
 def _scalar(field, value):
@@ -198,13 +211,8 @@ def _load_matrix(field, doc, where):
     return jb.AlmostToeplitzMatrix(field, fin, band)
 
 
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_automorphism(field, path):
-    doc = _read_json(path)
+    doc = gr.read_json(path)
     if not isinstance(doc, dict):
         raise DocumentError(
             "%s: an automorphism is a JSON object, not %s" % (path, type(doc).__name__)
@@ -229,8 +237,11 @@ def _parse_target(field, text):
     if text in ("c*", "c'"):
         return jb.AlmostToeplitzMatrix.shift_up(field)
     parts = text.split()
-    if len(parts) == 3 and parts[0] == "e":
-        return jb.AlmostToeplitzMatrix.unit(field, int(parts[1]), int(parts[2]))
+    if len(parts) == 3 and parts[0] == "e" and all(p.isdecimal() for p in parts[1:]):
+        # int() refuses strings of over 4300 digits; 10 digits are past the cap
+        i, j = (int(p) if len(p) < 10 else MAX_FINITARY_INDEX + 1 for p in parts[1:])
+        _check_unit_indices(i, j)
+        return jb.AlmostToeplitzMatrix.unit(field, i, j)
     raise FieldError("unknown target %r (use c, c*, or 'e i j')" % text)
 
 
@@ -250,7 +261,7 @@ def cmd_toeplitz_aut(args):
 
 def cmd_toeplitz_involution(args):
     field = make_field(args.field)
-    doc = _read_json(args.T)
+    doc = gr.read_json(args.T)
     if isinstance(doc, dict) and "T" in doc:
         T = _load_matrix(field, doc["T"], "%s: T" % args.T)
     else:
@@ -262,10 +273,10 @@ def cmd_toeplitz_involution(args):
     return EXIT_OK
 
 
-def natural(text):
+def truncation(text):
     n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    if not 0 <= n <= MAX_PROBE_N:
+        raise argparse.ArgumentTypeError("must be 0..MAX_PROBE_N = %d, got %d" % (MAX_PROBE_N, n))
     return n
 
 
@@ -308,7 +319,7 @@ def build_parser():
     q.add_argument("--b1", default="x", help="candidate mapping to t^-1")
     q.add_argument("--bm1", default="y", help="candidate mapping to t")
     q.add_argument("--b0", default="1", help="candidate identity")
-    q.add_argument("-n", "--truncation", type=natural, default=8)
+    q.add_argument("-n", "--truncation", type=truncation, default=8)
     q.add_argument("--field", default="Q")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_toeplitz_probe)
@@ -353,11 +364,9 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAPABILITY
     except (
-        alg.ParseError,
+        ParseError,
         gr.GraphError,
         DocumentError,
-        json.JSONDecodeError,
-        UnicodeDecodeError,
         OSError,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)

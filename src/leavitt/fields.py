@@ -424,9 +424,10 @@ class BinaryField(Field):
                 bits ^= 2
             else:
                 m = _X_POWER_RE.fullmatch(part)
-                if not m:
+                # x^order = 1, and int() refuses over 4300 digits
+                if not m or len(m.group(1)) > 4000:
                     raise FieldError("bad GF(2^%d) literal %r" % (self.k, text))
-                bits ^= 1 << int(m.group(1))
+                bits ^= 1 << int(m.group(1)) % self.order
         return _reduce(bits, self.k)
 
     def to_str(self, a):
@@ -444,8 +445,10 @@ class BinaryField(Field):
 
 QQ = Rationals()
 
-_GF_RE = re.compile(r"gf(\d+)$", re.IGNORECASE)
-_GF2K_RE = re.compile(r"gf2\^(\d+)$", re.IGNORECASE)
+# At most 12 digits: int() refuses over 4300, and trial division of a
+# larger prime would run for minutes before PrimeField refuses it as too large.
+_GF_RE = re.compile(r"gf(\d{1,12})$", re.IGNORECASE)
+_GF2K_RE = re.compile(r"gf2\^(\d{1,12})$", re.IGNORECASE)
 
 
 def make_field(spec):

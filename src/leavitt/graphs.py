@@ -22,7 +22,9 @@ __all__ = [
     "InfiniteFamily",
     "Infinite",
     "GraphError",
+    "DocumentError",
     "NotPolynomialGrowth",
+    "read_json",
     "load_graph",
     "graph_from_dict",
     "analyze",
@@ -38,6 +40,10 @@ ENTRY_PATH_CAP = 10000
 
 class GraphError(ValueError):
     """Malformed graph document or precondition failure."""
+
+
+class DocumentError(ValueError):
+    """A JSON input file that cannot be decoded or lacks the documented shape."""
 
 
 class NotPolynomialGrowth(GraphError):
@@ -240,14 +246,26 @@ def graph_from_dict(doc):
     return Graph(vertices, tuple(edges))
 
 
+def read_json(path_or_file):
+    """The document in a UTF-8 JSON file, given as a path or an open file.
+
+    A file that does not decode is a DocumentError naming it: one that is
+    not UTF-8 JSON, holds an integer of more digits than `int` converts,
+    or nests past the recursion limit (the decoder recurses per level).
+    """
+    try:
+        if hasattr(path_or_file, "read"):
+            return json.load(path_or_file)
+        with open(path_or_file, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (RecursionError, ValueError) as exc:  # ValueError covers the decode errors
+        name = getattr(path_or_file, "name", path_or_file)
+        raise DocumentError("%s: %s" % (name, exc)) from None
+
+
 def load_graph(path_or_file):
     """Load and validate a graph JSON document."""
-    if hasattr(path_or_file, "read"):
-        doc = json.load(path_or_file)
-    else:
-        with open(path_or_file) as fh:
-            doc = json.load(fh)
-    return graph_from_dict(doc)
+    return graph_from_dict(read_json(path_or_file))
 
 
 def _tarjan(g):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
+from .expr import parse_expression
 from .linalg import SpanBasis, accumulate, invert_block
 
 __all__ = [
@@ -150,80 +151,17 @@ def jac_matrix_unit(field, i, j):
     return JacobsonElement._make(field, {(i - 1, j - 1): one, (i, j): field.neg(one)})
 
 
-_JTOKEN_RE = re.compile(
-    r"\s+|(?P<number>\d+(?:/\d+)?)|(?P<id>[xy])|(?P<op>[+\-*()])"
-)
+_JTOKEN_RE = re.compile(r"\s+|(?P<scalar>\d+(?:/\d+)?)|(?P<id>[xy])|(?P<op>[+\-*()])")
 
 
 def jac_parse(text, field):
-    """Parse a word expression over x, y with coefficients into normal form."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _JTOKEN_RE.match(text, pos)
-        if not m:
-            raise JacobsonError("bad character %r at %d" % (text[pos], pos))
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group()))
-        pos = m.end()
-    tokens.append(("end", ""))
-    state = {"i": 0}
+    """Parse a word expression over x, y with coefficients into normal form
+    (grammar in `leavitt.expr`); "xy" is the word x y."""
 
-    def peek():
-        return tokens[state["i"]]
+    def atom(val, pos):
+        return jac_x(field) if val == "x" else jac_y(field)
 
-    def advance():
-        tok = tokens[state["i"]]
-        state["i"] += 1
-        return tok
-
-    def expr():
-        el = term()
-        while peek()[0] == "op" and peek()[1] in "+-":
-            op = advance()[1]
-            rhs = term()
-            el = el + rhs if op == "+" else el - rhs
-        return el
-
-    def term():
-        coeff = field.one()
-        saw_scalar = False
-        if peek()[0] == "number":
-            coeff = field.parse(advance()[1])
-            saw_scalar = True
-        el = None
-        while True:
-            kind, val = peek()
-            if kind == "op" and val == "*":
-                advance()
-                continue
-            if kind == "id" or (kind == "op" and val == "("):
-                f = factor()
-                el = f if el is None else el * f
-            else:
-                break
-        if el is None:
-            if not saw_scalar:
-                raise JacobsonError("expected a term, got %r" % (peek()[1],))
-            el = jac_one(field)
-        return el.scale(coeff)
-
-    def factor():
-        kind, val = advance()
-        if kind == "op" and val == "(":
-            el = expr()
-            kind, val = advance()
-            if not (kind == "op" and val == ")"):
-                raise JacobsonError("expected ')'")
-            return el
-        if kind == "id":
-            return jac_x(field) if val == "x" else jac_y(field)
-        raise JacobsonError("expected x, y or '('")
-
-    el = expr()
-    if peek()[0] != "end":
-        raise JacobsonError("trailing input %r" % peek()[1])
-    return el
+    return parse_expression(text, _JTOKEN_RE, atom, lambda: jac_one(field), field)
 
 
 class AlmostToeplitzMatrix:

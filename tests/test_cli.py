@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from leavitt.cli import MAX_FINITARY_INDEX, main
+from leavitt.cli import MAX_FINITARY_INDEX, MAX_PROBE_N, main
 
 from .conftest import graph_path
 
@@ -286,3 +286,94 @@ def test_finitary_index_cap(tmp_path, capsys):
     code, out, err = run(capsys, "toeplitz", "aut", str(f), "--apply", "c", "--json")
     assert code == 0
     assert json.loads(out)["band"] == [[-1, "1"]]
+
+
+DEEP = 10**5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{f}"],
+        ["calc", "{f}", "c"],
+        ["toeplitz", "aut", "{f}", "--apply", "c"],
+        ["toeplitz", "involution", "{f}"],
+    ],
+)
+def test_deep_json_is_a_parse_error(tmp_path, capsys, argv):
+    """The JSON decoder recurses once per level of nesting; a document
+    nested past the recursion limit is an input error naming the file."""
+    f = tmp_path / "deep.json"
+    f.write_text("[" * DEEP)
+    code, out, err = run(capsys, *[a.replace("{f}", str(f)) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % f) and "recursion" in err
+
+
+def test_deep_expressions_parse(capsys):
+    deep = "(" * DEEP + "%s" + ")" * DEEP
+    code, out, err = run(capsys, "calc", graph_path("toeplitz"), deep % "c")
+    assert (code, out) == (0, "c\n")
+    code, out, err = run(capsys, "toeplitz", "probe", "--b1", deep % "x", "--json")
+    assert code == 0
+    assert json.loads(out)["kind"] == "dimension_contradiction"
+
+
+@pytest.mark.parametrize(
+    "b1, want",
+    [
+        ("x +", 2),  # syntax error: 4 before the shared parser
+        ("x z", 2),  # unknown character
+        ("x + 0", 0),
+        ("- y x x + x + y x x", 0),  # a leading sign, as in calc
+        ("(- 1) - x", 4),  # parses; maps to -1 - t^-1, not t^-1
+    ],
+)
+def test_toeplitz_probe_expression_errors(capsys, b1, want):
+    code, out, err = run(capsys, "toeplitz", "probe", "--b1", b1)
+    assert code == want
+    if want == 2:
+        assert out == "" and "at position" in err
+
+
+def test_toeplitz_probe_truncation_cap(capsys):
+    err = _usage_error(capsys, "toeplitz", "probe", "-n", str(MAX_PROBE_N + 1))
+    assert "MAX_PROBE_N = %d" % MAX_PROBE_N in err
+
+
+@pytest.mark.parametrize(
+    "target, named",
+    [
+        ("e a b", "unknown target"),
+        ("e 1", "unknown target"),
+        ("e -1 2", "unknown target"),
+        ("e 1 %d" % (MAX_FINITARY_INDEX + 1), "MAX_FINITARY_INDEX = %d" % MAX_FINITARY_INDEX),
+        ("e 1 30000", "MAX_FINITARY_INDEX"),
+        ("e 1 " + "9" * 5000, "MAX_FINITARY_INDEX"),
+    ],
+)
+def test_toeplitz_aut_apply_target_errors(tmp_path, capsys, target, named):
+    f = tmp_path / "phi.json"
+    f.write_text(json.dumps({"alpha": "2", "g": {"finitary": [[1, 2, "1"]]}}))
+    code, out, err = run(capsys, "toeplitz", "aut", str(f), "--apply", target)
+    assert (code, out) == (4, "")
+    assert named in err
+
+
+def test_toeplitz_units_index_cap(capsys):
+    cap = MAX_FINITARY_INDEX
+    code, out, err = run(capsys, "toeplitz", "units", "1", str(cap + 1))
+    assert (code, out) == (4, "")
+    assert "MAX_FINITARY_INDEX = %d" % cap in err
+    code, out, err = run(capsys, "toeplitz", "units", str(cap), "1", "--json")
+    assert code == 0
+    assert json.loads(out)["i"] == cap
+
+
+@pytest.mark.parametrize("binding", ["v1 = c", "c = v1", "2 = c", "= c", "a' = c", "a b = c"])
+def test_calc_binding_names_must_be_readable(capsys, binding):
+    """A vertex or edge id would shadow the binding, and a name that is not
+    an id token could never be read back."""
+    code, out, err = run(capsys, "calc", graph_path("toeplitz"), binding, "c")
+    assert (code, out) == (2, "")
+    assert "cannot bind %r" % binding.split("=")[0].strip() in err

@@ -27,6 +27,10 @@ def test_make_field_descriptors():
         make_field("gf6")
     with pytest.raises(FieldError):
         make_field("nonsense")
+    # 13 digits and more are refused before any primality test or int()
+    for spec in ("gf1000000000039", "gf" + "7" * 5000, "gf2^" + "1" * 5000):
+        with pytest.raises(FieldError):
+            make_field(spec)
 
 
 def test_rational_arithmetic():
@@ -84,6 +88,19 @@ def test_binary_field_parse_roundtrip():
     f = BinaryField(4)
     for a in f.elements():
         assert f.parse(f.to_str(a)) == a
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_binary_field_parse_reduces_exponents(k):
+    """x^e is x^(e mod 2^k - 1), so a large exponent costs nothing."""
+    f = BinaryField(k)
+    power = 1
+    for e in range(3 * f.order + 2):
+        assert f.parse("x^%d" % e) == power
+        power = _ref_mul(power, 2, k)
+    assert f.parse("x^%d+1" % (10**30 * f.order + 3)) == f.parse("x^3+1")
+    with pytest.raises(FieldError):
+        f.parse("x^" + "9" * 5000)
 
 
 def test_field_axioms_random():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from leavitt.expr import ParseError
 from leavitt.fields import make_field
 from leavitt.jacobson import (
     AlmostToeplitzMatrix,
@@ -95,7 +96,7 @@ def test_parse(F):
     assert jac_parse("x y", F) == jac_one(F)
     assert jac_parse("y*x - 1", F) == jac_y(F) * jac_x(F) - jac_one(F)
     assert jac_parse("y (1 - y x) x", F) == jac_matrix_unit(F, 2, 2)
-    with pytest.raises(JacobsonError):
+    with pytest.raises(ParseError):
         jac_parse("x +", F)
 
 
