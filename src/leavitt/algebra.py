@@ -16,6 +16,7 @@ independent, which the test suite checks by rank computations.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .expr import ParseError, parse_expression
 from .graphs import Path, GraphError
@@ -46,15 +47,13 @@ class AlgebraError(ValueError):
     """Graph/field mismatch or invalid algebra operation."""
 
 
-class Monomial:
-    """A normal-form monomial p q*; `vertex` is the common range r(p) = r(q)."""
+class Monomial(NamedTuple):
+    """A normal-form monomial p q* (edge-id tuples p, q); `vertex` is the
+    common range r(p) = r(q).  Hash and equality are the tuple's own."""
 
-    __slots__ = ("p", "q", "vertex")
-
-    def __init__(self, p, q, vertex):
-        self.p = tuple(p)
-        self.q = tuple(q)
-        self.vertex = vertex
+    p: tuple
+    q: tuple
+    vertex: str
 
     @property
     def degree(self):
@@ -62,20 +61,6 @@ class Monomial:
 
     def sort_key(self):
         return (self.degree, self.p, self.q, self.vertex)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.p == other.p
-            and self.q == other.q
-            and self.vertex == other.vertex
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.vertex))
-
-    def __repr__(self):
-        return "Monomial(%s)" % self.format()
 
     def format(self):
         parts = list(self.p) + ["%s'" % e for e in reversed(self.q)]
@@ -146,12 +131,11 @@ class AlgebraElement:
         add, mul, neg = self.field.add, self.field.mul, self.field.neg
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                raw = _mul_monomials(g, m1, m2)
-                if raw is None:
-                    continue
-                c = mul(c1, c2)
-                for sign, m in _normalize_monomial(g, *raw):
-                    accumulate(out, m, c if sign > 0 else neg(c), add)
+                pairs = _mul_pair(g, m1, m2)
+                if pairs:
+                    c = mul(c1, c2)
+                    for sign, m in pairs:
+                        accumulate(out, m, c if sign > 0 else neg(c), add)
         return self._make(g, self.field, out)
 
     def __eq__(self, other):
@@ -212,46 +196,36 @@ class AlgebraElement:
         return "<%s>" % self.format()
 
 
-def _path_start(g, edges, base):
-    return g.source(edges[0]) if edges else base
+def _mul_pair(g, m1, m2):
+    """Normal form of the product (p q*)(u w*) as (sign, Monomial) pairs;
+    empty when the product is zero.
 
-
-def _mul_monomials(g, m1, m2):
-    """Raw product (p q*)(u w*), or None when it is zero.
-
-    Cancels q* against u edge by edge via (R1); the survivor is appended
-    to p or to w.  Result is (p', q', vertex) before (R2) normalization.
+    (R1) cancels q* against u edge by edge, and the survivor is appended
+    to p or to w.  (R2) then rewrites a trailing g g* with g special at v
+    to v - sum of f f* over the other out-edges f of v until the monomial
+    is normal; each f f* term is normal already.
     """
-    q, u = m1.q, m2.p
-    if _path_start(g, q, m1.vertex) != _path_start(g, u, m2.vertex):
-        return None
+    p, q, v = m1
+    u, w, v2 = m2
     n = min(len(q), len(u))
-    if q[:n] != u[:n]:
-        return None
+    if n:
+        if q[:n] != u[:n]:
+            return []
+    elif (g.source(q[0]) if q else v) != (g.source(u[0]) if u else v2):
+        return []
     if n == len(q):
         # q is a prefix of u: q* u = rest of u, compose onto p
-        return (m1.p + u[n:], m2.q, m2.vertex)
-    # u is a proper prefix of q: survivor is a ghost path, compose onto w
-    return (m1.p, m2.q + q[n:], m1.vertex)
-
-
-def _normalize_monomial(g, p, q, vertex):
-    """Expand (R2) until normal; yields (sign, Monomial) pairs."""
+        p, q, v = p + u[n:], w, v2
+    else:
+        # u is a proper prefix of q: the survivor is a ghost path on w
+        q = w + q[n:]
     out = []
-    stack = [(1, p, q, vertex)]
-    while stack:
-        sign, p, q, vertex = stack.pop()
-        if _is_reducible(g, p, q):
-            e = p[-1]
-            v = g.source(e)
-            stack.append((sign, p[:-1], q[:-1], v))
-            for f in g.out_edges(v):
-                if f != e:
-                    out.append(
-                        (-sign, Monomial(p[:-1] + (f,), q[:-1] + (f,), g.range(f)))
-                    )
-        else:
-            out.append((sign, Monomial(p, q, vertex)))
+    while _is_reducible(g, p, q):
+        v = g.source(p[-1])
+        p, q = p[:-1], q[:-1]
+        for f in g.out_edges(v)[1:]:
+            out.append((-1, Monomial(p + (f,), q + (f,), g.range(f))))
+    out.append((1, Monomial(p, q, v)))
     return out
 
 
@@ -278,10 +252,11 @@ def ghost_element(g, field, e):
 
 def monomial_element(g, field, p, q):
     """Element p q* from two Path objects with matching ranges, normalized."""
-    if p.range(g) != q.range(g):
+    r = p.range(g)
+    if r != q.range(g):
         raise AlgebraError("paths %s and %s have different ranges" % (p, q))
     one, minus_one, out = field.one(), field.neg(field.one()), {}
-    for sign, m in _normalize_monomial(g, p.edges, q.edges, p.range(g)):
+    for sign, m in _mul_pair(g, Monomial(p.edges, (), r), Monomial((), q.edges, r)):
         accumulate(out, m, one if sign > 0 else minus_one, field.add)
     return AlgebraElement._make(g, field, out)
 
@@ -293,10 +268,8 @@ def path_idempotent(g, field, p):
 
 def identity_element(g, field):
     """Sum of all vertex idempotents (the identity of the unital closure)."""
-    out = zero(g, field)
-    for v in g.vertices:
-        out = out + vertex_element(g, field, v)
-    return out
+    one = field.one()
+    return AlgebraElement._make(g, field, {Monomial((), (), v): one for v in g.vertices})
 
 
 def star(a):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import NoSquareRoot
+from .fields import NO_SQUARE_ROOT, FieldError
 from .jacobson import AlmostToeplitzMatrix, invert_id_plus_finitary
 from .linalg import accumulate
 
@@ -237,7 +237,7 @@ def congruence_decompose(T):
 
     Needs sqrt(alpha) and square roots of the pivots met during symmetric
     elimination on the block where T differs from alpha Id; raises
-    NoSquareRoot when the field cannot supply one and StuckAlternatingBlock
+    NoSquareRootError when the field cannot supply one and StuckAlternatingBlock
     when every remaining diagonal entry vanishes (possible only in
     characteristic 2).
     """
@@ -247,9 +247,7 @@ def congruence_decompose(T):
         raise AutomorphismError("T must be alpha Id + finitary")
     if not T.is_symmetric():
         raise AutomorphismError("T must be symmetric")
-    sqrt_alpha = field.sqrt(alpha)
-    if isinstance(sqrt_alpha, NoSquareRoot):
-        raise NoSquareRootError(field.to_str(alpha))
+    sqrt_alpha = _sqrt(field, alpha)
     n = T.support_bound()
     if n == 0:
         return AlmostToeplitzMatrix(field, band={0: sqrt_alpha})
@@ -266,9 +264,7 @@ def congruence_decompose(T):
                 "all remaining diagonal entries are zero"
             )
         prow = M[pivot]
-        s = field.sqrt(prow[pivot])
-        if isinstance(s, NoSquareRoot):
-            raise NoSquareRootError(field.to_str(prow[pivot]))
+        s = _sqrt(field, prow[pivot])
         inv_piv, inv_s = field.inv(prow[pivot]), field.inv(s)
         row = {j: mul(prow[j], inv_s) for j in remaining if prow[j]}
         q_rows.append(row)
@@ -293,9 +289,20 @@ def congruence_decompose(T):
 
 
 class NoSquareRootError(AutomorphismError):
-    def __init__(self, value):
+    def __init__(self, value, message=None):
         self.value = value  # the value's literal, as the field writes it
-        super().__init__("no square root of %s in the field" % value)
+        super().__init__(message or "no square root of %s in the field" % value)
+
+
+def _sqrt(field, value):
+    """sqrt(value); NoSquareRootError when the field has none or takes none."""
+    try:
+        s = field.sqrt(value)
+    except FieldError as exc:
+        raise NoSquareRootError(field.to_str(value), str(exc)) from exc
+    if s is NO_SQUARE_ROOT:
+        raise NoSquareRootError(field.to_str(value))
+    return s
 
 
 def involution_equivalence(iota):

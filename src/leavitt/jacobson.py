@@ -363,26 +363,16 @@ def jac_to_matrix(a):
     """Faithful homomorphism y -> lower shift, x -> upper shift.
 
     y^i x^j maps to sum_{r >= 1} e_{r+i, r+j}: the band c^(j-i) minus its
-    first min(i, j) entries.  Computed through the exact band arithmetic.
+    rows i - min(i, j) + 1 .. i.
     """
     field = a.field
-    down = AlmostToeplitzMatrix.shift_down(field)
-    up = AlmostToeplitzMatrix.shift_up(field)
-    powers = {}
-
-    def power(base, n, tag):
-        key = (tag, n)
-        if key not in powers:
-            m = AlmostToeplitzMatrix.identity(field)
-            for _ in range(n):
-                m = m * base
-            powers[key] = m
-        return powers[key]
-
-    out = AlmostToeplitzMatrix.zero(field)
+    fin, band, add, neg = {}, {}, field.add, field.neg
     for (i, j), c in a.terms.items():
-        out = out + (power(down, i, "y") * power(up, j, "x")).scale(c)
-    return out
+        accumulate(band, j - i, c, add)
+        c = neg(c)
+        for r in range(i - min(i, j) + 1, i + 1):
+            accumulate(fin, (r, r + j - i), c, add)
+    return AlmostToeplitzMatrix._make(field, fin, band)
 
 
 def jac_quotient_laurent(a):

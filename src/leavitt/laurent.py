@@ -211,74 +211,49 @@ class LaurentMatrix:
         return "LaurentMatrix(%r)" % (self.to_json(),)
 
 
-def _cycle_data(g, cycle):
-    """Base vertex (least id), vertex order around the cycle, canonical paths."""
+def _positions(g, cycle):
+    """Position of each cycle vertex, counted from the least one (0-based)."""
     vs = cycle.vertices(g)
-    base_pos = min(range(len(vs)), key=lambda i: g.vertex_index(vs[i]))
-    ordered = vs[base_pos:] + vs[:base_pos]
-    edges = cycle.edges[base_pos:] + cycle.edges[:base_pos]
-    # pi[i] = canonical path base -> ordered[i] along the cycle
-    pi = [Path(ordered[0], tuple(edges[:i])) for i in range(len(ordered))]
-    index = {v: i for i, v in enumerate(ordered)}
-    return ordered, edges, pi, index
+    base = min(range(len(vs)), key=lambda k: g.vertex_index(vs[k]))
+    return {v: (k - base) % len(vs) for k, v in enumerate(vs)}
 
 
-def _on_cycle(g, path, cycle_vertices, cycle_edges):
-    if path.edges:
-        return all(e in cycle_edges for e in path.edges)
-    return path.base in cycle_vertices
+def _image(g, pos, edges, m):
+    """(i, j, n) with m = p q* -> t^n e_ij, for the d-cycle with vertex
+    positions `pos` and edge set `edges`; GraphError when m is off it.
 
-
-def _winding(g, path, pi, index, d):
-    """n_p from pi_{i(s(p))} . p = c^{n_p} . pi_{i(r(p))}."""
-    i = index[path.source(g)]
-    k = index[path.range(g)]
-    n, rem = divmod(len(pi[i]) + len(path) - len(pi[k]), d)
+    i, j are the 1-based positions of s(p), s(q).  With pi_k the path from
+    the least vertex to position k along the cycle, pi_i p = c^(n_p) pi_r,
+    so n = n_p - n_q = (i + |p| - j - |q|) / d.
+    """
+    p, q, v = m
+    if v not in pos or not edges.issuperset(p + q):
+        raise GraphError("monomial %s does not lie on the cycle" % m.format())
+    i = pos[g.source(p[0])] if p else pos[v]
+    j = pos[g.source(q[0])] if q else pos[v]
+    n, rem = divmod(i + len(p) - j - len(q), len(edges))
     assert rem == 0, "winding number must be an integer"
-    return n
+    return i + 1, j + 1, n
 
 
 def cycle_iso_image(g, p, q, cycle):
     """Image (i, j, t^n monomial) of the monomial p q* under the cycle
     isomorphism; i, j are 1-based positions of s(p), s(q) on the cycle."""
-    ordered, edges, pi, index = _cycle_data(g, cycle)
-    cyc_vs = set(ordered)
-    cyc_es = set(edges)
-    for path in (p, q):
-        if not _on_cycle(g, path, cyc_vs, cyc_es):
-            raise GraphError("path %s does not lie on the cycle" % (path,))
-    if p.range(g) != q.range(g):
+    r = p.range(g)
+    if r != q.range(g):
         raise GraphError("paths have different ranges")
-    d = len(cycle)
-    n = _winding(g, p, pi, index, d) - _winding(g, q, pi, index, d)
-    return (index[p.source(g)] + 1, index[q.source(g)] + 1, n)
+    m = alg.Monomial(p.edges, q.edges, r)
+    return _image(g, _positions(g, cycle), frozenset(cycle.edges), m)
 
 
 def element_iso_image(g, a, cycle):
     """Map an element supported on on-cycle monomials to a LaurentMatrix."""
-    ordered, edges, pi, index = _cycle_data(g, cycle)
-    d = len(cycle)
-    out = LaurentMatrix.zero(a.field, d)
+    pos, edges, d, field = _positions(g, cycle), frozenset(cycle.edges), len(cycle), a.field
+    coeffs = [[{} for _ in range(d)] for _ in range(d)]
     for m, c in a.terms.items():
-        p = Path(m.vertex if not m.p else g.source(m.p[0]), m.p)
-        q = Path(m.vertex if not m.q else g.source(m.q[0]), m.q)
-        i, j, n = cycle_iso_image(g, p, q, cycle)
-        out = out + LaurentMatrix.unit(
-            a.field, d, i, j, LaurentPoly.monomial(a.field, n, c)
-        )
-    return out
-
-
-def _image_units(g, a, pi, index, d):
-    """Image of an element as a sorted tuple of (i, j, n, coeff) units."""
-    units = []
-    for m, c in a.terms.items():
-        p = Path(m.vertex if not m.p else g.source(m.p[0]), m.p)
-        q = Path(m.vertex if not m.q else g.source(m.q[0]), m.q)
-        n = _winding(g, p, pi, index, d) - _winding(g, q, pi, index, d)
-        units.append((index[p.source(g)] + 1, index[q.source(g)] + 1, n, c))
-    units.sort(key=lambda u: u[:3])
-    return tuple(units)
+        i, j, n = _image(g, pos, edges, m)
+        accumulate(coeffs[i - 1][j - 1], n, c, field.add)
+    return LaurentMatrix(field, d, [[LaurentPoly._make(field, e) for e in r] for r in coeffs])
 
 
 def verify_cycle_iso(g, cycle, maxlen, field):
@@ -290,32 +265,27 @@ def verify_cycle_iso(g, cycle, maxlen, field):
     delta_{j1,i2} t^(n1+n2) e_{i1,j2}.  Matrix-unit products agree with
     full LaurentMatrix products, which the test suite checks separately.
     """
-    ok = True
-    ordered, edges, pi, index = _cycle_data(g, cycle)
-    d = len(cycle)
+    pos, edges, d = _positions(g, cycle), frozenset(cycle.edges), len(cycle)
+    add, mul = field.add, field.mul
+    order = sorted(edges, key=lambda e: pos[g.source(e)])
     # on-cycle paths: determined by start position and length
-    paths = []
-    for i in range(d):
-        rotated = edges[i:] + edges[:i]
-        for length in range(maxlen + 1):
-            reps = (length // d) + 1
-            seq = (rotated * reps)[:length]
-            paths.append(Path(ordered[i], tuple(seq)))
+    paths = [
+        Path(g.source(order[i]), tuple(order[(i + k) % d] for k in range(length)))
+        for i in range(d)
+        for length in range(maxlen + 1)
+    ]
     monos = []
     for p in paths:
         for q in paths:
             if p.range(g) == q.range(g):
                 el = alg.monomial_element(g, field, p, q)
-                units = _image_units(g, el, pi, index, d)
-                assert len(units) == 1
-                monos.append((el, units[0]))
-    for m1, (i1, j1, n1, c1) in monos:
-        for m2, (i2, j2, n2, c2) in monos:
-            lhs = _image_units(g, m1 * m2, pi, index, d)
-            if j1 == i2:
-                rhs = ((i1, j2, n1 + n2, field.mul(c1, c2)),)
-            else:
-                rhs = ()
-            if lhs != rhs:
-                ok = False
-    return ok
+                ((m, c),) = el.terms.items()
+                monos.append((el, _image(g, pos, edges, m), c))
+    for m1, (i1, j1, n1), c1 in monos:
+        for m2, (i2, j2, n2), c2 in monos:
+            lhs = {}
+            for m, c in (m1 * m2).terms.items():
+                accumulate(lhs, _image(g, pos, edges, m), c, add)
+            if lhs != ({(i1, j2, n1 + n2): mul(c1, c2)} if j1 == i2 else {}):
+                return False
+    return True

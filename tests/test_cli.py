@@ -152,6 +152,17 @@ def test_toeplitz_involution_capability_failure(tmp_path, capsys):
     assert "square root" in err
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_toeplitz_involution_odd_prime_field_is_capability_failure(tmp_path, capsys, p):
+    """An odd prime field takes no square roots at all: exit 5, as for a
+    value without a root, and the field's own message on stderr."""
+    f = tmp_path / "T.json"
+    f.write_text(json.dumps({"T": {"finitary": [[1, 1, "1"]], "band": [[0, "1"]]}}))
+    code, out, err = run(capsys, "toeplitz", "involution", str(f), "--field", "gf%d" % p)
+    assert (code, out) == (5, "")
+    assert err == "error: sqrt over GF(%d) is not supported (p odd)\n" % p
+
+
 def _usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -9,6 +9,7 @@ lists none.
 """
 
 import json
+import time
 
 import pytest
 
@@ -60,6 +61,18 @@ def test_long_line(tmp_path, capsys):
     doc = _cli_json(["analyze", _write(tmp_path, vs, edges), "--chain", "--json"], capsys)
     assert doc["chain"]["s"] == 0
     assert doc["chain"]["layers"] == [[{"kind": MAT_F, "anchor": vs[-1], "size": N}]]
+
+
+def test_calc_scalar_on_long_line(tmp_path, capsys):
+    """A bare scalar is a multiple of the identity, the sum of all N vertex
+    idempotents; `identity_element` builds it in one pass, not N sums."""
+    path = _write(tmp_path, *_line(N))
+    start = time.perf_counter()
+    code = cli.main(["calc", path, "v0 (1 - v0)"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, "0\n"), captured.err
+    assert elapsed < 5
 
 
 def test_long_cycle_with_tail(tmp_path, capsys):

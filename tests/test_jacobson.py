@@ -9,6 +9,7 @@ from leavitt.expr import ParseError
 from leavitt.fields import make_field
 from leavitt.jacobson import (
     AlmostToeplitzMatrix,
+    JacobsonElement,
     JacobsonError,
     corner_dimension,
     descent_measure,
@@ -128,6 +129,47 @@ def test_matrix_model_injective(F):
             key = (tuple(sorted(m.finitary)), tuple(sorted(m.band)))
             assert key not in seen
             seen[key] = (i, j)
+
+
+def jac_to_matrix_by_shift_powers(a):
+    """The former `jac_to_matrix`: products of memoised shift powers through
+    the exact band arithmetic, kept as the reference for the closed form."""
+    field = a.field
+    down = AlmostToeplitzMatrix.shift_down(field)
+    up = AlmostToeplitzMatrix.shift_up(field)
+    powers = {}
+
+    def power(base, n, tag):
+        key = (tag, n)
+        if key not in powers:
+            m = AlmostToeplitzMatrix.identity(field)
+            for _ in range(n):
+                m = m * base
+            powers[key] = m
+        return powers[key]
+
+    out = AlmostToeplitzMatrix.zero(field)
+    for (i, j), c in a.terms.items():
+        out = out + (power(down, i, "y") * power(up, j, "x")).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("fname", ["Q", "gf2^4"])
+def test_jac_to_matrix_closed_form_matches_shift_powers(fname):
+    field = make_field(fname)
+    for i in range(13):
+        for j in range(13):
+            a = jac_monomial(field, i, j)
+            assert jac_to_matrix(a) == jac_to_matrix_by_shift_powers(a), (i, j)
+    rng = random.Random(2024)
+    coeff = {
+        "Q": lambda: field.parse("%d/%d" % (rng.randint(-9, 9), rng.randint(1, 4))),
+        "gf2^4": lambda: rng.randrange(16),  # a GF(2^4) value is a 4-bit mask
+    }[fname]
+    for _ in range(200):
+        idx = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(rng.randint(1, 6))]
+        a = JacobsonElement(field, {ij: coeff() for ij in idx})
+        assert jac_to_matrix(a) == jac_to_matrix_by_shift_powers(a), a.format()
 
 
 def test_matrix_units_map_to_finitary_units(F):
