@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .expr import ParseError, parse_expression
 from .graphs import Path, GraphError
-from .linalg import SpanBasis, accumulate
+from .linalg import SpanBasis, SparseElement, accumulate
 
 __all__ = [
     "Monomial",
@@ -33,7 +33,6 @@ __all__ = [
     "ghost_element",
     "monomial_element",
     "identity_element",
-    "star",
     "enumerate_basis",
     "enumerate_paths",
     "filtration",
@@ -76,15 +75,16 @@ def _is_reducible(g, p, q):
     return e == g.special_edge(g.source(e))
 
 
-class AlgebraElement:
-    """Finite F-linear combination of normal-form monomials."""
+class AlgebraElement(SparseElement):
+    """Finite F-linear combination of normal-form monomials over `graph`."""
 
-    __slots__ = ("graph", "field", "terms")
+    __slots__ = ("graph",)
+    _error = AlgebraError
+    _mismatch = "elements live over different graphs or fields"
 
     def __init__(self, graph, field, terms):
         self.graph = graph
-        self.field = field
-        self.terms = field.check_terms(terms)
+        super().__init__(field, terms)
 
     @classmethod
     def _make(cls, graph, field, terms):
@@ -93,36 +93,14 @@ class AlgebraElement:
         el.graph, el.field, el.terms = graph, field, terms
         return el
 
-    def _compat(self, other):
-        # identity first: elements of one computation share graph and field
-        if (self.graph is not other.graph and self.graph != other.graph) or (
-            self.field is not other.field and self.field != other.field
-        ):
-            raise AlgebraError("elements live over different graphs or fields")
-
-    def __add__(self, other):
-        self._compat(other)
-        terms, add = dict(self.terms), self.field.add
-        for m, c in other.terms.items():
-            accumulate(terms, m, c, add)
+    def _like(self, terms):
         return self._make(self.graph, self.field, terms)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return self._make(self.graph, self.field, {m: neg(c) for m, c in self.terms.items()})
-
-    def scale(self, scalar):
-        field = self.field
-        scalar = field.check_value(scalar)
-        if not scalar:
-            return self._make(self.graph, field, {})
-        mul = field.mul
-        return self._make(
-            self.graph, field, {m: mul(c, scalar) for m, c in self.terms.items()}
-        )
+    def _compat(self, other):
+        # identity first: elements of one computation share graph and field
+        if self.graph is not other.graph and self.graph != other.graph:
+            raise AlgebraError(self._mismatch)
+        super()._compat(other)
 
     def __mul__(self, other):
         self._compat(other)
@@ -139,38 +117,16 @@ class AlgebraElement:
         return self._make(g, self.field, out)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.graph == other.graph
-            and self.field == other.field
-            and self.terms == other.terms
-        )
+        return SparseElement.__eq__(self, other) and self.graph == other.graph
 
-    def __hash__(self):
-        return hash(
-            (self.field, frozenset(self.terms.items()))
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
+    __hash__ = SparseElement.__hash__
 
     def is_idempotent(self):
         return self * self == self
 
     def star(self):
         """The involution: p q* with coefficient a maps to q p* with a."""
-        return self._make(
-            self.graph,
-            self.field,
-            {Monomial(m.q, m.p, m.vertex): c for m, c in self.terms.items()},
-        )
-
-    def coordinates(self):
-        """Sparse coordinate row for exact linear algebra."""
-        return dict(self.terms)
-
-    def degree(self):
-        return max((m.degree for m in self.terms), default=0)
+        return self._like({Monomial(m.q, m.p, m.vertex): c for m, c in self.terms.items()})
 
     def format(self):
         if not self.terms:
@@ -191,9 +147,6 @@ class AlgebraElement:
             else:
                 out += " + " + p
         return out
-
-    def __repr__(self):
-        return "<%s>" % self.format()
 
 
 def _mul_pair(g, m1, m2):
@@ -270,10 +223,6 @@ def identity_element(g, field):
     """Sum of all vertex idempotents (the identity of the unital closure)."""
     one = field.one()
     return AlgebraElement._make(g, field, {Monomial((), (), v): one for v in g.vertices})
-
-
-def star(a):
-    return a.star()
 
 
 def enumerate_paths(g, maxlen):

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .expr import parse_expression
-from .linalg import SpanBasis, accumulate, invert_block
+from .linalg import SpanBasis, SparseElement, accumulate, invert_block
 
 __all__ = [
     "JacobsonElement",
@@ -41,40 +41,13 @@ class JacobsonError(ValueError):
     pass
 
 
-class JacobsonElement:
+class JacobsonElement(SparseElement):
     """Finite-support map (i, j) -> nonzero raw field value, meaning
     sum a_ij y^i x^j."""
 
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms):
-        self.field = field
-        self.terms = field.check_terms(terms)
-
-    @classmethod
-    def _make(cls, field, terms):
-        """An element on `terms` as given: zero-free values of `field`."""
-        el = object.__new__(cls)
-        el.field, el.terms = field, terms
-        return el
-
-    def _compat(self, other):
-        if self.field != other.field:
-            raise JacobsonError("elements over different fields")
-
-    def __add__(self, other):
-        self._compat(other)
-        out, add = dict(self.terms), self.field.add
-        for k, c in other.terms.items():
-            accumulate(out, k, c, add)
-        return self._make(self.field, out)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return self._make(self.field, {k: neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    __slots__ = ()
+    _error = JacobsonError
+    _mismatch = "elements over different fields"
 
     def __mul__(self, other):
         # (y^i x^j)(y^k x^l) = y^(i + max(0, k-j)) x^(l + max(0, j-k))
@@ -85,30 +58,6 @@ class JacobsonElement:
                 accumulate(out, (i + max(0, k - j), l + max(0, j - k)), mul(c1, c2), add)
         return self._make(self.field, out)
 
-    def scale(self, scalar):
-        field = self.field
-        scalar = field.check_value(scalar)
-        if not scalar:
-            return self._make(field, {})
-        mul = field.mul
-        return self._make(field, {k: mul(c, scalar) for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JacobsonElement)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coordinates(self):
-        return dict(self.terms)
-
     def format(self):
         if not self.terms:
             return "0"
@@ -118,9 +67,6 @@ class JacobsonElement:
             cs = self.field.to_str(self.terms[(i, j)])
             parts.append(word if cs == "1" else "%s %s" % (cs, word))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return "<%s>" % self.format()
 
 
 def jac_zero(field):

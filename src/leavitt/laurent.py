@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import algebra as alg
 from .graphs import GraphError, Path
-from .linalg import accumulate
+from .linalg import SparseElement, accumulate
 
 __all__ = [
     "LaurentPoly",
@@ -19,21 +19,12 @@ __all__ = [
 ]
 
 
-class LaurentPoly:
+class LaurentPoly(SparseElement):
     """Finite-support map exponent -> nonzero raw field value."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs=None):
-        self.field = field
-        self.coeffs = field.check_terms(coeffs or {})
-
-    @classmethod
-    def _make(cls, field, coeffs):
-        """A polynomial on `coeffs` as given: zero-free values of `field`."""
-        p = object.__new__(cls)
-        p.field, p.coeffs = field, coeffs
-        return p
+    __slots__ = ()
+    _error = ValueError
+    _mismatch = "Laurent polynomials over different fields"
 
     @classmethod
     def zero(cls, field):
@@ -47,76 +38,34 @@ class LaurentPoly:
     def monomial(cls, field, exponent, coeff=None):
         return cls(field, {exponent: coeff if coeff is not None else field.one()})
 
-    def _compat(self, other):
-        if self.field != other.field:
-            raise ValueError("Laurent polynomials over different fields")
-
-    def __add__(self, other):
-        self._compat(other)
-        out, add = dict(self.coeffs), self.field.add
-        for e, c in other.coeffs.items():
-            accumulate(out, e, c, add)
-        return self._make(self.field, out)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return self._make(self.field, {e: neg(c) for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._compat(other)
         out, add, mul = {}, self.field.add, self.field.mul
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 accumulate(out, e1 + e2, mul(c1, c2), add)
         return self._make(self.field, out)
 
-    def scale(self, scalar):
-        field = self.field
-        scalar = field.check_value(scalar)
-        if not scalar:
-            return self._make(field, {})
-        mul = field.mul
-        return self._make(field, {e: mul(c, scalar) for e, c in self.coeffs.items()})
-
     def substitute_inverse(self):
         """t -> t^-1."""
-        return self._make(self.field, {-e: c for e, c in self.coeffs.items()})
+        return self._make(self.field, {-e: c for e, c in self.terms.items()})
 
     def is_unit(self):
         """Units of F[t, t^-1] are the nonzero monomials."""
-        return len(self.coeffs) == 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        return len(self.terms) == 1
 
     def format(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            cs = self.field.to_str(self.coeffs[e])
+        for e in sorted(self.terms):
+            cs = self.field.to_str(self.terms[e])
             if e == 0:
                 parts.append(cs)
                 continue
             t = "t" if e == 1 else "t^%d" % e
             parts.append(t if cs == "1" else "%s%s" % (cs, t))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return "<%s>" % self.format()
 
 
 class LaurentMatrix:

@@ -4,12 +4,12 @@ Rows are dicts mapping arbitrary hashable coordinates to nonzero raw
 field values (see `fields`).  Used for span dimensions, basis extraction
 and finite-block inversion.  `accumulate` is the one sparse update every
 coefficient dict in the package goes through, so no dict ever stores a
-zero.
+zero; `SparseElement` is the one base of the elements built on such dicts.
 """
 
 from __future__ import annotations
 
-__all__ = ["accumulate", "SpanBasis", "span_rank", "invert_block"]
+__all__ = ["accumulate", "SparseElement", "SpanBasis", "span_rank", "invert_block"]
 
 
 def accumulate(out, key, c, add):
@@ -22,6 +22,79 @@ def accumulate(out, key, c, add):
             del out[key]
             return
     out[key] = c
+
+
+class SparseElement:
+    """A finite linear combination: `terms` maps keys to nonzero raw values
+    of `field`.  Sums, negation, scaling, equality and hashing are the same
+    for every kind of key.  A subclass gives its key product (`__mul__`),
+    `format`, and the error class `_error` and message `_mismatch` that a
+    sum or product of incompatible elements raises."""
+
+    __slots__ = ("field", "terms")
+
+    def __init__(self, field, terms=None):
+        self.field = field
+        self.terms = field.check_terms(terms or {})
+
+    @classmethod
+    def _make(cls, field, terms):
+        """An element on `terms` as given: zero-free values of `field`."""
+        el = object.__new__(cls)
+        el.field, el.terms = field, terms
+        return el
+
+    def _like(self, terms):
+        """An element on `terms` in the context of `self`."""
+        return self._make(self.field, terms)
+
+    def _compat(self, other):
+        # identity first: elements of one computation share their field
+        if self.field is not other.field and self.field != other.field:
+            raise self._error(self._mismatch)
+
+    def __add__(self, other):
+        self._compat(other)
+        terms, add = dict(self.terms), self.field.add
+        for k, c in other.terms.items():
+            accumulate(terms, k, c, add)
+        return self._like(terms)
+
+    def __neg__(self):
+        neg = self.field.neg
+        return self._like({k: neg(c) for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        field = self.field
+        scalar = field.check_value(scalar)
+        if not scalar:
+            return self._like({})
+        mul = field.mul
+        return self._like({k: mul(c, scalar) for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.field == other.field
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.field, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def coordinates(self):
+        """The sparse coordinate row for exact linear algebra: `terms`
+        itself, so read-only (`SpanBasis` copies what it reduces)."""
+        return self.terms
+
+    def __repr__(self):
+        return "<%s>" % self.format()
 
 
 class SpanBasis:

@@ -11,6 +11,7 @@ constructors' zero filter, so those dicts, like `SpanBasis` rows, rest on
 the kernel alone.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -20,7 +21,13 @@ from leavitt import algebra as alg
 from leavitt.automorphisms import ToeplitzAutomorphism
 from leavitt.fields import FieldError, make_field
 from leavitt.graphs import Path
-from leavitt.jacobson import AlmostToeplitzMatrix, JacobsonElement, jac_monomial, jac_one
+from leavitt.jacobson import (
+    AlmostToeplitzMatrix,
+    JacobsonElement,
+    JacobsonError,
+    jac_monomial,
+    jac_one,
+)
 from leavitt.laurent import LaurentPoly
 from leavitt.linalg import SpanBasis, accumulate
 
@@ -78,7 +85,7 @@ def _makers(rng, field):
         "jacobson": (lambda: _jacobson(rng, field), lambda a: [a.terms]),
         "laurent": (
             lambda: LaurentPoly(field, _sparse(rng, field, range(-3, 4), rng.randint(1, 4))),
-            lambda a: [a.coeffs],
+            lambda a: [a.terms],
         ),
         "almost_toeplitz": (
             lambda: AlmostToeplitzMatrix(
@@ -167,3 +174,55 @@ def test_entry_points_check_caller_values(fname, bad):
     for call in calls:
         with pytest.raises(FieldError):
             call()
+
+
+def _element_kinds():
+    """kind -> (builder(field, terms), three keys of that kind)."""
+    g = load("toeplitz")
+    return {
+        "algebra": (
+            lambda field, terms: alg.AlgebraElement(g, field, terms),
+            alg.enumerate_basis(g, make_field("Q"), 2)[:3],
+        ),
+        "jacobson": (JacobsonElement, [(0, 0), (1, 2), (2, 1)]),
+        "laurent": (LaurentPoly, [-1, 0, 2]),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, error, message",
+    [
+        ("algebra", alg.AlgebraError, "elements live over different graphs or fields"),
+        ("jacobson", JacobsonError, "elements over different fields"),
+        ("laurent", ValueError, "Laurent polynomials over different fields"),
+    ],
+)
+def test_sparse_element_contract(kind, error, message):
+    """The three element types share sums, negation, scaling, equality and
+    hashing; each raises its own error on a mismatch."""
+    QQ, F3 = make_field("Q"), make_field("gf3")
+    kinds = _element_kinds()
+    build, keys = kinds[kind]
+    terms = {keys[0]: 2, keys[1]: Fraction(-1, 3)}
+    a = build(QQ, terms)
+    b = build(QQ, {keys[1]: Fraction(1, 3), keys[2]: 5})
+    others = [build(F3, {keys[0]: 1})]
+    if kind == "algebra":
+        loop = load("loop")
+        others.append(alg.AlgebraElement(loop, QQ, {alg.Monomial((), (), "v"): 1}))
+    for other in others:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(error) as info:
+                op(a, other)
+            assert type(info.value) is error and str(info.value) == message
+    for name, (other_build, _) in kinds.items():
+        if name != kind:
+            twin = other_build(QQ, terms)
+            assert a != twin and twin != a
+    c = a + b - b
+    assert c == a and hash(c) == hash(a)
+    assert -(-a) == a and hash(-(-a)) == hash(a)
+    assert not a - a and not a.scale(QQ.zero()) and a.scale(QQ.zero()) == a - a
+    assert a.scale(2) == a + a
+    with pytest.raises(FieldError):
+        a.scale(0.5)
