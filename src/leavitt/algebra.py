@@ -19,7 +19,7 @@ import re
 from typing import NamedTuple
 
 from .expr import ParseError, parse_expression
-from .graphs import Path, GraphError
+from .graphs import Path
 from .linalg import SpanBasis, SparseElement, accumulate
 
 __all__ = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import NO_SQUARE_ROOT, FieldError
+from .fields import FieldError
 from .jacobson import AlmostToeplitzMatrix, invert_id_plus_finitary
 from .linalg import accumulate
 
@@ -289,20 +289,15 @@ def congruence_decompose(T):
 
 
 class NoSquareRootError(AutomorphismError):
-    def __init__(self, value, message=None):
-        self.value = value  # the value's literal, as the field writes it
-        super().__init__(message or "no square root of %s in the field" % value)
+    """The field has no square root of a value, or takes none."""
 
 
 def _sqrt(field, value):
     """sqrt(value); NoSquareRootError when the field has none or takes none."""
     try:
-        s = field.sqrt(value)
+        return field.sqrt(value)
     except FieldError as exc:
-        raise NoSquareRootError(field.to_str(value), str(exc)) from exc
-    if s is NO_SQUARE_ROOT:
-        raise NoSquareRootError(field.to_str(value))
-    return s
+        raise NoSquareRootError(str(exc)) from exc
 
 
 def involution_equivalence(iota):

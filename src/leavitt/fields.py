@@ -27,7 +27,6 @@ __all__ = [
     "Rationals",
     "PrimeField",
     "BinaryField",
-    "NoSquareRoot",
     "FieldError",
     "make_field",
     "QQ",
@@ -37,22 +36,6 @@ __all__ = [
 class FieldError(ValueError):
     """Bad field descriptor, value outside its field or unsupported operation."""
 
-
-class NoSquareRoot:
-    """Sentinel returned by Field.sqrt when no square root exists."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoSquareRoot"
-
-
-NO_SQUARE_ROOT = NoSquareRoot()
 
 # Irreducible moduli for GF(2^k), k = 1..16, given as bitmasks (bit i = x^i).
 # Low-weight polynomials from the standard tables; irreducibility is
@@ -200,13 +183,11 @@ class Rationals(Field):
         return self.div(1, a)
 
     def sqrt(self, a):
-        if a < 0:
-            return NO_SQUARE_ROOT
-        num = _isqrt_exact(a.numerator)
-        den = _isqrt_exact(a.denominator)
-        if num is None or den is None:
-            return NO_SQUARE_ROOT
-        return _q(Fraction(num, den))
+        if a >= 0:
+            num, den = _isqrt_exact(a.numerator), _isqrt_exact(a.denominator)
+            if num is not None and den is not None:
+                return _q(Fraction(num, den))
+        raise FieldError("no square root of %s in the field" % self.to_str(a))
 
     def parse(self, text):
         try:

@@ -11,6 +11,7 @@ non-trivial component has as many edges as vertices (is a single cycle).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,7 +21,6 @@ __all__ = [
     "Cycle",
     "GraphAnalysis",
     "InfiniteFamily",
-    "Infinite",
     "GraphError",
     "DocumentError",
     "NotPolynomialGrowth",
@@ -57,20 +57,7 @@ class NotPolynomialGrowth(GraphError):
         )
 
 
-class Infinite:
-    """Sentinel for an infinite path count."""
-
-    def __repr__(self):
-        return "Infinite"
-
-    def __eq__(self, other):
-        return isinstance(other, Infinite)
-
-    def __hash__(self):
-        return hash("Infinite")
-
-
-INFINITE = Infinite()
+INFINITE = math.inf  # an infinite path count
 
 
 class _Adjacency(NamedTuple):
@@ -545,7 +532,7 @@ def _connecting_path(g, from_vs, to_vs):
 
 def _count_paths_into(g, ends, avoid=()):
     """len(_paths_into(g, ends, avoid, cap)) without listing the paths, or
-    Infinite if a cycle outside `avoid` feeds them."""
+    INFINITE if a cycle outside `avoid` feeds them."""
     comps = g._components()
     back = _reaching(g, ends, lambda s: s not in avoid)
     if not back.difference(avoid).isdisjoint(comps.on_cycle):
@@ -559,7 +546,7 @@ def _count_paths_into(g, ends, avoid=()):
 
 
 def count_paths_to_sink(g, v):
-    """Number of paths ending at sink v (trivial path included), or Infinite."""
+    """Number of paths ending at sink v (trivial path included), or INFINITE."""
     if v not in g._components().rank or not g.is_sink(v):
         raise GraphError("%r is not a sink" % v)
     return _count_paths_into(g, [v])

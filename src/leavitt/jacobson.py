@@ -10,7 +10,7 @@ elements of the ideal generated by 1 - yx become finitary matrices.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .expr import parse_expression
 from .linalg import SpanBasis, SparseElement, accumulate, invert_block

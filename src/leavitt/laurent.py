@@ -4,8 +4,6 @@ explicit isomorphism from the algebra of an NE cycle onto M_d(F[t, t^-1]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import algebra as alg
 from .graphs import GraphError, Path
 from .linalg import SparseElement, accumulate
@@ -46,10 +44,6 @@ class LaurentPoly(SparseElement):
                 accumulate(out, e1 + e2, mul(c1, c2), add)
         return self._make(self.field, out)
 
-    def substitute_inverse(self):
-        """t -> t^-1."""
-        return self._make(self.field, {-e: c for e, c in self.terms.items()})
-
     def is_unit(self):
         """Units of F[t, t^-1] are the nonzero monomials."""
         return len(self.terms) == 1
@@ -68,20 +62,36 @@ class LaurentPoly(SparseElement):
         return " + ".join(parts)
 
 
-class LaurentMatrix:
-    """d x d matrix of LaurentPoly entries."""
+class LaurentMatrix(SparseElement):
+    """d x d matrix over F[t, t^-1]: `terms` maps (i, j, n), with 1-based
+    i, j, to the nonzero raw coefficient of t^n e_ij."""
 
-    __slots__ = ("field", "d", "entries")
+    __slots__ = ("d",)
+    _error = ValueError
+    _mismatch = "Laurent matrix size or field mismatch"
 
-    def __init__(self, field, d, entries=None):
+    def __init__(self, field, d, terms=None):
         if d < 1:
             raise ValueError("matrix size must be >= 1")
-        self.field = field
+        for i, j, _ in terms or ():
+            if not (1 <= i <= d and 1 <= j <= d):
+                raise ValueError("matrix index (%r, %r) outside 1..%d" % (i, j, d))
         self.d = d
-        zero = LaurentPoly.zero(field)
-        self.entries = [
-            [entries[i][j] if entries else zero for j in range(d)] for i in range(d)
-        ]
+        super().__init__(field, terms)
+
+    @classmethod
+    def _make(cls, field, d, terms):
+        el = object.__new__(cls)
+        el.field, el.d, el.terms = field, d, terms
+        return el
+
+    def _like(self, terms):
+        return self._make(self.field, self.d, terms)
+
+    def _compat(self, other):
+        if self.d != other.d:
+            raise ValueError(self._mismatch)
+        super()._compat(other)
 
     @classmethod
     def zero(cls, field, d):
@@ -89,75 +99,50 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls, field, d):
-        m = cls(field, d)
-        for i in range(d):
-            m.entries[i][i] = LaurentPoly.one(field)
-        return m
+        return cls(field, d, {(i, i, 0): field.one() for i in range(1, d + 1)})
 
     @classmethod
     def unit(cls, field, d, i, j, poly=None):
         """Matrix unit e_ij (1-based) scaled by an optional polynomial."""
-        m = cls(field, d)
-        m.entries[i - 1][j - 1] = poly if poly is not None else LaurentPoly.one(field)
-        return m
-
-    def _compat(self, other):
-        if self.field != other.field or self.d != other.d:
-            raise ValueError("Laurent matrix size or field mismatch")
-
-    def __add__(self, other):
-        self._compat(other)
-        out = LaurentMatrix(self.field, self.d)
-        for i in range(self.d):
-            for j in range(self.d):
-                out.entries[i][j] = self.entries[i][j] + other.entries[i][j]
-        return out
-
-    def __neg__(self):
-        return LaurentMatrix(self.field, self.d, [[-e for e in r] for r in self.entries])
-
-    def __sub__(self, other):
-        return self + (-other)
+        m = cls(field, d, {(i, j, 0): field.one()})
+        if poly is None:
+            return m
+        if poly.field != field:
+            raise ValueError(cls._mismatch)
+        return m._like({(i, j, n): c for n, c in poly.terms.items()})
 
     def __mul__(self, other):
+        """t^n1 e_ik . t^n2 e_kj = t^(n1+n2) e_ij, through `other`'s rows."""
         self._compat(other)
-        out = LaurentMatrix(self.field, self.d)
-        for i in range(self.d):
-            row = self.entries[i]
-            for k in range(self.d):
-                lik = row[k]
-                if not lik:
-                    continue
-                orow = other.entries[k]
-                for j in range(self.d):
-                    if orow[j]:
-                        out.entries[i][j] = out.entries[i][j] + lik * orow[j]
-        return out
+        add, mul = self.field.add, self.field.mul
+        rows = {}
+        for (k, j, n), c in other.terms.items():
+            rows.setdefault(k, []).append((j, n, c))
+        out = {}
+        for (i, k, n1), c1 in self.terms.items():
+            for j, n2, c2 in rows.get(k, ()):
+                accumulate(out, (i, j, n1 + n2), mul(c1, c2), add)
+        return self._like(out)
 
     def conjugate_transpose(self):
         """Transpose with t -> t^-1 in every entry (the star image)."""
-        out = LaurentMatrix(self.field, self.d)
-        for i in range(self.d):
-            for j in range(self.d):
-                out.entries[j][i] = self.entries[i][j].substitute_inverse()
-        return out
+        return self._like({(j, i, -n): c for (i, j, n), c in self.terms.items()})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentMatrix)
-            and self.field == other.field
-            and self.d == other.d
-            and self.entries == other.entries
+        return SparseElement.__eq__(self, other) and self.d == other.d
+
+    __hash__ = SparseElement.__hash__
+
+    def format(self):
+        entries = {}
+        for (i, j, n), c in sorted(self.terms.items()):
+            entries.setdefault((i, j), {})[n] = c
+        if not entries:
+            return "0"
+        return " + ".join(
+            "(%s) e_%d,%d" % (LaurentPoly._make(self.field, e).format(), i, j)
+            for (i, j), e in entries.items()
         )
-
-    def __bool__(self):
-        return any(any(e for e in row) for row in self.entries)
-
-    def to_json(self):
-        return [[e.format() for e in row] for row in self.entries]
-
-    def __repr__(self):
-        return "LaurentMatrix(%r)" % (self.to_json(),)
 
 
 def _positions(g, cycle):
@@ -197,12 +182,11 @@ def cycle_iso_image(g, p, q, cycle):
 
 def element_iso_image(g, a, cycle):
     """Map an element supported on on-cycle monomials to a LaurentMatrix."""
-    pos, edges, d, field = _positions(g, cycle), frozenset(cycle.edges), len(cycle), a.field
-    coeffs = [[{} for _ in range(d)] for _ in range(d)]
+    pos, edges, add = _positions(g, cycle), frozenset(cycle.edges), a.field.add
+    terms = {}
     for m, c in a.terms.items():
-        i, j, n = _image(g, pos, edges, m)
-        accumulate(coeffs[i - 1][j - 1], n, c, field.add)
-    return LaurentMatrix(field, d, [[LaurentPoly._make(field, e) for e in r] for r in coeffs])
+        accumulate(terms, _image(g, pos, edges, m), c, add)
+    return LaurentMatrix._make(a.field, len(cycle), terms)
 
 
 def verify_cycle_iso(g, cycle, maxlen, field):
@@ -211,8 +195,8 @@ def verify_cycle_iso(g, cycle, maxlen, field):
 
     The left side goes through the rewriting engine; the right side is
     matrix-unit arithmetic, t^n1 e_{i1,j1} . t^n2 e_{i2,j2} =
-    delta_{j1,i2} t^(n1+n2) e_{i1,j2}.  Matrix-unit products agree with
-    full LaurentMatrix products, which the test suite checks separately.
+    delta_{j1,i2} t^(n1+n2) e_{i1,j2}: the rule of `LaurentMatrix.__mul__`
+    on one-term operands, inlined here on bare (i, j, n) keys.
     """
     pos, edges, d = _positions(g, cycle), frozenset(cycle.edges), len(cycle)
     add, mul = field.add, field.mul

@@ -8,7 +8,7 @@ materialized index set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import ceil
 
 from . import graphs as gr

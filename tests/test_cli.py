@@ -152,6 +152,15 @@ def test_toeplitz_involution_capability_failure(tmp_path, capsys):
     assert "square root" in err
 
 
+def test_toeplitz_involution_non_square_alpha_message(tmp_path, capsys):
+    """A value of Q without a rational root: exit 5 and the field's message."""
+    f = tmp_path / "T.json"
+    f.write_text(json.dumps({"T": {"finitary": [], "band": [[0, "3/2"]]}}))
+    code, out, err = run(capsys, "toeplitz", "involution", str(f), "--field", "Q")
+    assert (code, out) == (5, "")
+    assert err == "error: no square root of 3/2 in the field\n"
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_toeplitz_involution_odd_prime_field_is_capability_failure(tmp_path, capsys, p):
     """An odd prime field takes no square roots at all: exit 5, as for a

@@ -8,7 +8,6 @@ import pytest
 
 from leavitt.fields import (
     MODULI,
-    NO_SQUARE_ROOT,
     BinaryField,
     FieldError,
     PrimeField,
@@ -47,8 +46,9 @@ def test_rational_sqrt():
     f = make_field("Q")
     assert f.sqrt(f.parse("4/9")) == f.parse("2/3")
     assert f.sqrt(f.parse("0")) == f.zero()
-    assert f.sqrt(f.parse("2")) is NO_SQUARE_ROOT
-    assert f.sqrt(f.parse("-1")) is NO_SQUARE_ROOT
+    for text in ("2", "-1", "1/2"):
+        with pytest.raises(FieldError, match="^no square root of %s in the field$" % text):
+            f.sqrt(f.parse(text))
 
 
 def test_prime_field_basics():

@@ -28,7 +28,7 @@ from leavitt.jacobson import (
     jac_monomial,
     jac_one,
 )
-from leavitt.laurent import LaurentPoly
+from leavitt.laurent import LaurentMatrix, LaurentPoly
 from leavitt.linalg import SpanBasis, accumulate
 
 from .conftest import load
@@ -77,6 +77,7 @@ def test_jacobson_engine_matches_toeplitz_graph_corner(fname):
 def _makers(rng, field):
     g = load("toeplitz")
     basis = alg.enumerate_basis(g, field, 3)
+    matrix_keys = [(i, j, n) for i in (1, 2) for j in (1, 2) for n in (-1, 0, 1)]
     return {
         "algebra": (
             lambda: alg.AlgebraElement(g, field, _sparse(rng, field, basis, rng.randint(1, 4))),
@@ -85,6 +86,10 @@ def _makers(rng, field):
         "jacobson": (lambda: _jacobson(rng, field), lambda a: [a.terms]),
         "laurent": (
             lambda: LaurentPoly(field, _sparse(rng, field, range(-3, 4), rng.randint(1, 4))),
+            lambda a: [a.terms],
+        ),
+        "laurent_matrix": (
+            lambda: LaurentMatrix(field, 2, _sparse(rng, field, matrix_keys, rng.randint(1, 4))),
             lambda a: [a.terms],
         ),
         "almost_toeplitz": (
@@ -165,6 +170,8 @@ def test_entry_points_check_caller_values(fname, bad):
         lambda: LaurentPoly(field, {0: bad}),
         lambda: LaurentPoly.monomial(field, 3, bad),
         lambda: LaurentPoly.one(field).scale(bad),
+        lambda: LaurentMatrix(field, 2, {(1, 2, 0): bad}),
+        lambda: LaurentMatrix.identity(field, 2).scale(bad),
         lambda: atm(field, {(1, 1): bad}),
         lambda: atm(field, band={0: bad}),
         lambda: atm.unit(field, 1, 2, bad),
@@ -186,6 +193,10 @@ def _element_kinds():
         ),
         "jacobson": (JacobsonElement, [(0, 0), (1, 2), (2, 1)]),
         "laurent": (LaurentPoly, [-1, 0, 2]),
+        "laurent_matrix": (
+            lambda field, terms: LaurentMatrix(field, 3, terms),
+            [(1, 1, 0), (1, 2, -1), (3, 2, 2)],
+        ),
     }
 
 
@@ -195,10 +206,11 @@ def _element_kinds():
         ("algebra", alg.AlgebraError, "elements live over different graphs or fields"),
         ("jacobson", JacobsonError, "elements over different fields"),
         ("laurent", ValueError, "Laurent polynomials over different fields"),
+        ("laurent_matrix", ValueError, "Laurent matrix size or field mismatch"),
     ],
 )
 def test_sparse_element_contract(kind, error, message):
-    """The three element types share sums, negation, scaling, equality and
+    """The four element types share sums, negation, scaling, equality and
     hashing; each raises its own error on a mismatch."""
     QQ, F3 = make_field("Q"), make_field("gf3")
     kinds = _element_kinds()
@@ -210,13 +222,17 @@ def test_sparse_element_contract(kind, error, message):
     if kind == "algebra":
         loop = load("loop")
         others.append(alg.AlgebraElement(loop, QQ, {alg.Monomial((), (), "v"): 1}))
+    if kind == "laurent_matrix":
+        others.append(LaurentMatrix(QQ, 4, {keys[0]: 1}))
+        assert a != LaurentMatrix(QQ, 4, terms)
     for other in others:
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(error) as info:
                 op(a, other)
             assert type(info.value) is error and str(info.value) == message
     for name, (other_build, _) in kinds.items():
-        if name != kind:
+        # a matrix takes only (i, j, n) keys with i, j in range
+        if name not in (kind, "laurent_matrix"):
             twin = other_build(QQ, terms)
             assert a != twin and twin != a
     c = a + b - b

@@ -36,7 +36,9 @@ def test_poly_arithmetic():
     assert (t + one) * (t + one) == LaurentPoly(
         field, {0: field.one(), 1: field.from_int(2), 2: field.one()}
     )
-    assert (t + one).substitute_inverse() == tinv + one
+    assert LaurentMatrix.unit(field, 1, 1, 1, t + one).conjugate_transpose() == (
+        LaurentMatrix.unit(field, 1, 1, 1, tinv + one)
+    )
     assert t.is_unit() and not (t + one).is_unit()
     assert (t - t).format() == "0"
     assert (tinv * tinv + one + t).format() == "t^-2 + 1 + t"
@@ -50,10 +52,11 @@ def test_matrix_arithmetic():
     def rand_matrix():
         m = LaurentMatrix.zero(field, d)
         for _ in range(4):
-            i, j = rng.randint(0, d - 1), rng.randint(0, d - 1)
-            m.entries[i][j] = m.entries[i][j] + LaurentPoly.monomial(
+            i, j = rng.randint(1, d), rng.randint(1, d)
+            coeff = LaurentPoly.monomial(
                 field, rng.randint(-2, 2), field.from_int(rng.randint(-3, 3))
             )
+            m = m + LaurentMatrix.unit(field, d, i, j, coeff)
         return m
 
     ident = LaurentMatrix.identity(field, d)
@@ -86,6 +89,19 @@ def test_unit_triples_match_matrix_products():
             else:
                 expect = LaurentMatrix.zero(field, d)
             assert product == expect
+
+
+def test_matrix_indices_and_fields_are_checked():
+    field = make_field("Q")
+    for i, j in ((0, 1), (4, 1), (1, 0), (1, 4)):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            LaurentMatrix.unit(field, 3, i, j)
+    with pytest.raises(ValueError, match="field mismatch"):
+        LaurentMatrix.unit(field, 3, 1, 1, LaurentPoly.one(make_field("gf5")))
+    with pytest.raises(ValueError, match="outside 1..2"):
+        LaurentMatrix(field, 2, {(1, 3, 0): 1})
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        LaurentMatrix.identity(field, 0)
 
 
 def test_cycle_iso_image_loop():
