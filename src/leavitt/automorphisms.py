@@ -54,17 +54,15 @@ def _scalar_pow(field, alpha, n):
 
 
 def pi_conjugate(alpha, m):
-    """diag(1, alpha, alpha^2, ...)^-1 . m . diag(...): entry (i, j) picks
-    up alpha^(j-i), bands pick up alpha^k per offset k."""
+    """diag(1, alpha, alpha^2, ...)^-1 . m . diag(...): every key (i, j) of
+    `m.terms`, the band keys (0, k) included, picks up alpha^(j-i)."""
     field = m.field
     if not alpha:
         raise AutomorphismError("alpha must be nonzero")
-    offsets = {j - i for i, j in m.finitary} | set(m.band)
-    powers = {k: _scalar_pow(field, alpha, k) for k in offsets}
+    powers = {k: _scalar_pow(field, alpha, k) for k in {j - i for i, j in m.terms}}
     mul = field.mul
-    fin = {(i, j): mul(c, powers[j - i]) for (i, j), c in m.finitary.items()}
-    band = {k: mul(c, powers[k]) for k, c in m.band.items()}
-    return AlmostToeplitzMatrix._make(field, fin, band)
+    terms = {(i, j): mul(c, powers[j - i]) for (i, j), c in m.terms.items()}
+    return AlmostToeplitzMatrix._make(field, terms)
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ class ToeplitzAutomorphism:
         object.__setattr__(self, "alpha", self.g.field.check_value(self.alpha))
         if not self.alpha:
             raise AutomorphismError("alpha must be nonzero")
-        if self.g.band != {0: self.g.field.one()}:
+        if self.g.identity_scalar() != self.g.field.one():
             raise AutomorphismError("g must be Id + finitary")
         g_inv = invert_id_plus_finitary(self.g)
         if g_inv is None:
@@ -182,13 +180,14 @@ def reconstruct_conjugator(field, images, m):
     minus_lam = field.neg(lam)
     for j in range(1, m + 1):
         accumulate(fin, (j, j), minus_lam, add)
-    M_scaled = AlmostToeplitzMatrix._make(field, fin, {0: lam}).scale(field.inv(lam))
+    fin[(0, 0)] = lam
+    M_scaled = AlmostToeplitzMatrix._make(field, fin).scale(field.inv(lam))
     S = invert_id_plus_finitary(M_scaled)
     if S is None:
         raise AutomorphismError("reconstructed conjugator is singular")
     # gauge: first nonzero entry of the first column equals 1
     first_col = {i: c for (i, j), c in S.finitary.items() if j == 1}
-    accumulate(first_col, 1, S.band[0], add)
+    accumulate(first_col, 1, S.identity_scalar(), add)
     if not first_col:
         raise AutomorphismError("reconstructed conjugator has a zero column")
     pivot = first_col[min(first_col)]
@@ -214,7 +213,7 @@ class Involution:
     T_inv: AlmostToeplitzMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if set(self.T.band) - {0} or not self.T.band.get(0):
+        if self.T.identity_scalar() is None:
             raise AutomorphismError("T must be alpha Id + finitary")
         if not self.T.is_symmetric():
             raise AutomorphismError("T must be symmetric")
@@ -242,8 +241,8 @@ def congruence_decompose(T):
     characteristic 2).
     """
     field = T.field
-    alpha = T.band.get(0)
-    if alpha is None or set(T.band) - {0}:
+    alpha = T.identity_scalar()
+    if alpha is None:
         raise AutomorphismError("T must be alpha Id + finitary")
     if not T.is_symmetric():
         raise AutomorphismError("T must be symmetric")
@@ -276,14 +275,14 @@ def congruence_decompose(T):
                     if j != pivot:
                         M[i][j] = sub(M[i][j], mul(c, prow[j]))
     # assemble: Q_block rows stacked in pivot order, block embedded in Id
-    fin = {}
+    one, minus_one = field.one(), field.neg(field.one())
+    terms = {(0, 0): one}
     for r, row in enumerate(q_rows, start=1):
         for j, c in row.items():
-            fin[(r, j + 1)] = c
-    one, minus_one = field.one(), field.neg(field.one())
+            terms[(r, j + 1)] = c
     for i in range(1, n + 1):
-        accumulate(fin, (i, i), minus_one, field.add)
-    Q = AlmostToeplitzMatrix._make(field, fin, {0: one}).scale(sqrt_alpha)
+        accumulate(terms, (i, i), minus_one, field.add)
+    Q = AlmostToeplitzMatrix._make(field, terms).scale(sqrt_alpha)
     assert Q.transpose() * Q == T, "congruence decomposition must be exact"
     return Q
 

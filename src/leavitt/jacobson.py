@@ -5,6 +5,8 @@ strictly shortens words, so rewriting terminates and products of basis
 monomials are again basis monomials).  The faithful matrix model sends
 y to the lower shift and x to the upper shift on an N x N index space;
 elements of the ideal generated by 1 - yx become finitary matrices.
+`AlmostToeplitzMatrix`, a `linalg.SparseElement` like `JacobsonElement`,
+keys finitary entries (i, j), i, j >= 1, and diagonals (0, k) in one dict.
 """
 
 from __future__ import annotations
@@ -110,172 +112,132 @@ def jac_parse(text, field):
     return parse_expression(text, _JTOKEN_RE, atom, lambda: jac_one(field), field)
 
 
-class AlmostToeplitzMatrix:
-    """Exact N x N matrix of the form (finitary) + sum_k band[k] c^(k).
+class AlmostToeplitzMatrix(SparseElement):
+    """Exact N x N matrix of the form (finitary) + sum_k b_k c^(k).
 
     c^(k) is the constant diagonal sum_{j-i=k} e_ij over rows and columns
-    >= 1.  The class is closed under add, mul and transpose; band-band
-    products re-enter the form with an explicit finitary correction, so no
-    truncation ever happens.
+    >= 1.  One `terms` dict holds both parts: key (i, j) with i, j >= 1 is
+    the finitary entry e_ij, key (0, k) is b_k.  Row 0 is never a matrix
+    row, so the two cannot collide, and j - i is the diagonal of every key.
+    `finitary` and `band` are copies built per access.  The class is closed
+    under add, mul and transpose; band-band products re-enter the form with
+    an explicit finitary correction, so no truncation ever happens.
     """
 
-    __slots__ = ("field", "finitary", "band")
+    __slots__ = ()
+    _error = JacobsonError
+    _mismatch = "matrices over different fields"
 
     def __init__(self, field, finitary=None, band=None):
-        self.field = field
-        self.finitary = field.check_terms(finitary or {})
-        self.band = field.check_terms(band or {})
+        terms = dict(finitary or {})
+        if any(i < 1 or j < 1 for i, j in terms):
+            raise JacobsonError("matrix unit indices must be >= 1")
+        terms.update(((0, k), c) for k, c in (band or {}).items())
+        super().__init__(field, terms)
 
-    @classmethod
-    def _make(cls, field, finitary, band):
-        """A matrix on the dicts as given: zero-free values of `field`."""
-        m = object.__new__(cls)
-        m.field, m.finitary, m.band = field, finitary, band
-        return m
+    @property
+    def finitary(self):
+        return {k: c for k, c in self.terms.items() if k[0]}
+
+    @property
+    def band(self):
+        return {k: c for (i, k), c in self.terms.items() if not i}
 
     @classmethod
     def zero(cls, field):
-        return cls._make(field, {}, {})
+        return cls._make(field, {})
 
     @classmethod
     def identity(cls, field):
-        return cls._make(field, {}, {0: field.one()})
+        return cls._make(field, {(0, 0): field.one()})
 
     @classmethod
     def unit(cls, field, i, j, coeff=None):
-        if i < 1 or j < 1:
-            raise JacobsonError("matrix unit indices must be >= 1")
-        return cls(field, finitary={(i, j): coeff if coeff is not None else field.one()})
+        return cls(field, {(i, j): coeff if coeff is not None else field.one()})
 
     @classmethod
     def shift_down(cls, field):
         """The matrix sum e_{i+1,i} (image of y)."""
-        return cls._make(field, {}, {-1: field.one()})
+        return cls._make(field, {(0, -1): field.one()})
 
     @classmethod
     def shift_up(cls, field):
         """The matrix sum e_{i,i+1} (image of x)."""
-        return cls._make(field, {}, {1: field.one()})
-
-    def _compat(self, other):
-        if self.field != other.field:
-            raise JacobsonError("matrices over different fields")
+        return cls._make(field, {(0, 1): field.one()})
 
     def entry(self, i, j):
-        return self.field.add(self.band.get(j - i, 0), self.finitary.get((i, j), 0))
-
-    def __add__(self, other):
-        self._compat(other)
-        fin, band, add = dict(self.finitary), dict(self.band), self.field.add
-        for out, terms in ((fin, other.finitary), (band, other.band)):
-            for k, c in terms.items():
-                accumulate(out, k, c, add)
-        return self._make(self.field, fin, band)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return self._make(
-            self.field,
-            {k: neg(c) for k, c in self.finitary.items()},
-            {k: neg(c) for k, c in self.band.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        field = self.field
-        scalar = field.check_value(scalar)
-        if not scalar:
-            return self._make(field, {}, {})
-        mul = field.mul
-        return self._make(
-            field,
-            {k: mul(c, scalar) for k, c in self.finitary.items()},
-            {k: mul(c, scalar) for k, c in self.band.items()},
-        )
+        return self.field.add(self.terms.get((0, j - i), 0), self.terms.get((i, j), 0))
 
     def __mul__(self, other):
         self._compat(other)
-        fin = {}
-        band = {}
-        add, mul, neg = self.field.add, self.field.mul, self.field.neg
-        # band x band: c^(k) c^(l) = c^(k+l) minus the rows whose middle
-        # index i + k would fall below 1
-        for k, c1 in self.band.items():
-            for l, c2 in other.band.items():
+        band, rows = {}, {}
+        for (a, b), c in other.terms.items():
+            if a:
+                rows.setdefault(a, []).append((b, c))
+            else:
+                band[b] = c
+        out, add, mul, neg = {}, self.field.add, self.field.mul, self.field.neg
+        for (i, j), c1 in self.terms.items():
+            if i:
+                # e_ij c^(k) = e_{i, j+k}
+                for k, c2 in band.items():
+                    if j + k >= 1:
+                        accumulate(out, (i, j + k), mul(c1, c2), add)
+                # e_ij e_jb = e_ib
+                for b, c2 in rows.get(j, ()):
+                    accumulate(out, (i, b), mul(c1, c2), add)
+                continue
+            # key (0, j) is c^(j); c^(j) c^(l) = c^(j+l) minus the rows
+            # whose middle index r + j would fall below 1
+            for l, c2 in band.items():
                 c = mul(c1, c2)
-                accumulate(band, k + l, c, add)
-                if k < 0:
+                accumulate(out, (0, j + l), c, add)
+                if j < 0:
                     c = neg(c)
-                    for i in range(max(1, 1 - (k + l)), -k + 1):
-                        accumulate(fin, (i, i + k + l), c, add)
-        # band x finitary: c^(k) e_ab = e_{a-k, b}
-        for k, c1 in self.band.items():
-            for (a, b), c2 in other.finitary.items():
-                if a - k >= 1:
-                    accumulate(fin, (a - k, b), mul(c1, c2), add)
-        # finitary x band: e_ab c^(k) = e_{a, b+k}
-        for (a, b), c1 in self.finitary.items():
-            for k, c2 in other.band.items():
-                if b + k >= 1:
-                    accumulate(fin, (a, b + k), mul(c1, c2), add)
-        # finitary x finitary
-        cols = {}
-        for (a, b), c in other.finitary.items():
-            cols.setdefault(a, []).append((b, c))
-        for (a, b), c1 in self.finitary.items():
-            for (b2, c2) in cols.get(b, []):
-                accumulate(fin, (a, b2), mul(c1, c2), add)
-        return self._make(self.field, fin, band)
+                    for r in range(max(1, 1 - (j + l)), -j + 1):
+                        accumulate(out, (r, r + j + l), c, add)
+            # c^(j) e_ab = e_{a-j, b}
+            for a, row in rows.items():
+                if a - j >= 1:
+                    for b, c2 in row:
+                        accumulate(out, (a - j, b), mul(c1, c2), add)
+        return self._make(self.field, out)
 
     def transpose(self):
         return self._make(
-            self.field,
-            {(j, i): c for (i, j), c in self.finitary.items()},
-            {-k: c for k, c in self.band.items()},
+            self.field, {(j, i) if i else (0, -j): c for (i, j), c in self.terms.items()}
         )
 
     def is_finitary(self):
-        return not self.band
+        return all(i for i, _ in self.terms)
 
     def is_symmetric(self):
         return self == self.transpose()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlmostToeplitzMatrix)
-            and self.field == other.field
-            and self.finitary == other.finitary
-            and self.band == other.band
-        )
-
-    def __bool__(self):
-        return bool(self.finitary) or bool(self.band)
+    def identity_scalar(self):
+        """alpha when the matrix is alpha Id + finitary, else None."""
+        return self.terms.get((0, 0)) if self.band.keys() == {0} else None
 
     def support_bound(self):
         """Least n with all finitary entries inside the n x n corner."""
-        n = 0
-        for (i, j) in self.finitary:
-            n = max(n, i, j)
-        return n
+        return max((max(k) for k in self.terms if k[0]), default=0)
 
     def block(self, n):
         """Dense n x n top-left block as lists of raw values."""
         return [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
     def to_json(self):
-        s = self.field.to_str
+        s, items = self.field.to_str, sorted(self.terms.items())
         return {
-            "finitary": [[i, j, s(c)] for (i, j), c in sorted(self.finitary.items())],
-            "band": [[k, s(c)] for k, c in sorted(self.band.items())],
+            "finitary": [[i, j, s(c)] for (i, j), c in items if i],
+            "band": [[k, s(c)] for (i, k), c in items if not i],
         }
 
     def __repr__(self):
-        s = self.field.to_str
+        s, items = self.field.to_str, sorted(self.terms.items())
         return "AlmostToeplitz(band=%r, finitary=%r)" % (
-            {k: s(c) for k, c in sorted(self.band.items())},
-            {k: s(c) for k, c in sorted(self.finitary.items())},
+            {k: s(c) for (i, k), c in items if not i},
+            {k: s(c) for k, c in items if k[0]},
         )
 
 
@@ -285,24 +247,22 @@ def invert_id_plus_finitary(m):
     Works on the finite block where the matrix differs from its diagonal
     scalar; outside it the inverse is alpha^-1 Id.
     """
-    alpha = m.band.get(0)
-    if alpha is None or set(m.band) - {0}:
+    alpha = m.identity_scalar()
+    if alpha is None:
         raise JacobsonError("matrix is not of the form alpha Id + finitary")
     field = m.field
     inv_alpha = field.inv(alpha)
+    terms = {(0, 0): inv_alpha}
     n = m.support_bound()
-    if n == 0:
-        return AlmostToeplitzMatrix._make(field, {}, {0: inv_alpha})
     inv_block = invert_block(field, m.block(n), n)
     if inv_block is None:
         return None
-    fin = {}
     for i, row in enumerate(inv_block):
         row[i] = field.sub(row[i], inv_alpha)
         for j, c in enumerate(row):
             if c:
-                fin[(i + 1, j + 1)] = c
-    return AlmostToeplitzMatrix._make(field, fin, {0: inv_alpha})
+                terms[(i + 1, j + 1)] = c
+    return AlmostToeplitzMatrix._make(field, terms)
 
 
 def jac_to_matrix(a):
@@ -312,13 +272,13 @@ def jac_to_matrix(a):
     rows i - min(i, j) + 1 .. i.
     """
     field = a.field
-    fin, band, add, neg = {}, {}, field.add, field.neg
+    out, add, neg = {}, field.add, field.neg
     for (i, j), c in a.terms.items():
-        accumulate(band, j - i, c, add)
+        accumulate(out, (0, j - i), c, add)
         c = neg(c)
         for r in range(i - min(i, j) + 1, i + 1):
-            accumulate(fin, (r, r + j - i), c, add)
-    return AlmostToeplitzMatrix._make(field, fin, band)
+            accumulate(out, (r, r + j - i), c, add)
+    return AlmostToeplitzMatrix._make(field, out)
 
 
 def jac_quotient_laurent(a):

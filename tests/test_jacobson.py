@@ -260,6 +260,23 @@ def test_matrix_unit_indices_start_at_one(F):
             AlmostToeplitzMatrix.unit(F, i, j)
 
 
+def test_constructor_rejects_indices_below_one(F):
+    """Row 0 and negative indices are no matrix entries; a finitary key
+    (0, j) would otherwise read as the band c^(j)."""
+    for fin in ({(0, 1): 1}, {(-2, 3): 1}, {(1, 0): 1}):
+        with pytest.raises(JacobsonError, match="matrix unit indices must be >= 1"):
+            AlmostToeplitzMatrix(F, fin)
+    identity = AlmostToeplitzMatrix.identity(F)
+    rng = random.Random(1806)
+    for _ in range(50):
+        m = AlmostToeplitzMatrix(
+            F,
+            {(rng.randint(1, 5), rng.randint(1, 5)): rng.randint(-3, 3) for _ in range(4)},
+            {rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(2)},
+        )
+        assert identity * m == m * identity == m
+
+
 def test_descent_plain(F):
     state = descent_measure(jac_matrix_unit(F, 3, 5), jac_x(F))
     assert state.measures == [3, 2, 1]

@@ -197,6 +197,12 @@ def _element_kinds():
             lambda field, terms: LaurentMatrix(field, 3, terms),
             [(1, 1, 0), (1, 2, -1), (3, 2, 2)],
         ),
+        # built on `terms` itself, so that every kind's keys give a twin;
+        # (0, 2) is the band c^(2)
+        "almost_toeplitz": (
+            lambda field, terms: AlmostToeplitzMatrix._make(field, field.check_terms(terms)),
+            [(1, 1), (0, 2), (3, 2)],
+        ),
     }
 
 
@@ -207,10 +213,11 @@ def _element_kinds():
         ("jacobson", JacobsonError, "elements over different fields"),
         ("laurent", ValueError, "Laurent polynomials over different fields"),
         ("laurent_matrix", ValueError, "Laurent matrix size or field mismatch"),
+        ("almost_toeplitz", JacobsonError, "matrices over different fields"),
     ],
 )
 def test_sparse_element_contract(kind, error, message):
-    """The four element types share sums, negation, scaling, equality and
+    """The five element types share sums, negation, scaling, equality and
     hashing; each raises its own error on a mismatch."""
     QQ, F3 = make_field("Q"), make_field("gf3")
     kinds = _element_kinds()
@@ -242,3 +249,12 @@ def test_sparse_element_contract(kind, error, message):
     assert a.scale(2) == a + a
     with pytest.raises(FieldError):
         a.scale(0.5)
+
+
+def test_equal_automorphisms_collapse_in_a_set():
+    QQ = make_field("Q")
+    atm = AlmostToeplitzMatrix
+    g = atm.identity(QQ) + atm.unit(QQ, 1, 2, 3)
+    phi, psi = ToeplitzAutomorphism(2, g), ToeplitzAutomorphism(2, atm(QQ, {(1, 2): 3}, {0: 1}))
+    assert phi is not psi and phi == psi and hash(phi) == hash(psi)
+    assert len({phi, psi, ToeplitzAutomorphism(3, g)}) == 2
