@@ -37,7 +37,6 @@ __all__ = [
     "enumerate_paths",
     "filtration",
     "graded_dimension",
-    "span_dimension",
     "parse_element",
 ]
 
@@ -214,11 +213,6 @@ def monomial_element(g, field, p, q):
     return AlgebraElement._make(g, field, out)
 
 
-def path_idempotent(g, field, p):
-    """The idempotent p p* for a Path p."""
-    return monomial_element(g, field, p, p)
-
-
 def identity_element(g, field):
     """Sum of all vertex idempotents (the identity of the unital closure)."""
     one = field.one()
@@ -291,20 +285,6 @@ def filtration(g, field, n):
 def graded_dimension(g, field, n):
     """dim of the span of all products of <= n generators (n = 0: vertices)."""
     return sum(len(layer) for layer in filtration(g, field, n))
-
-
-def span_dimension(elements):
-    """Exact rank of a list of elements over their monomial coordinates."""
-    elements = list(elements)
-    if not elements:
-        return 0
-    first = elements[0]
-    for el in elements[1:]:
-        first._compat(el)
-    basis = SpanBasis(first.field)
-    for el in elements:
-        basis.add(el.coordinates())
-    return basis.rank
 
 
 _TOKEN_RE = re.compile(

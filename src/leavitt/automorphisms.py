@@ -78,9 +78,10 @@ class ToeplitzAutomorphism:
         object.__setattr__(self, "alpha", self.g.field.check_value(self.alpha))
         if not self.alpha:
             raise AutomorphismError("alpha must be nonzero")
-        if self.g.identity_scalar() != self.g.field.one():
-            raise AutomorphismError("g must be Id + finitary")
+        # the inverter tests the form alpha Id + finitary; alpha must be 1
         g_inv = invert_id_plus_finitary(self.g)
+        if self.g.terms[(0, 0)] != self.g.field.one():
+            raise AutomorphismError("g must be Id + finitary")
         if g_inv is None:
             raise AutomorphismError("g is singular")
         object.__setattr__(self, "g_inv", g_inv)
@@ -213,11 +214,9 @@ class Involution:
     T_inv: AlmostToeplitzMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T.identity_scalar() is None:
-            raise AutomorphismError("T must be alpha Id + finitary")
+        T_inv = invert_id_plus_finitary(self.T)  # tests the form alpha Id + finitary
         if not self.T.is_symmetric():
             raise AutomorphismError("T must be symmetric")
-        T_inv = invert_id_plus_finitary(self.T)
         if T_inv is None:
             raise AutomorphismError("T is singular")
         object.__setattr__(self, "T_inv", T_inv)

@@ -180,14 +180,6 @@ class Path:
     def range(self, g):
         return g.range(self.edges[-1]) if self.edges else self.base
 
-    def vertices(self, g):
-        """All vertices visited, in order (length + 1 entries)."""
-        if not self.edges:
-            return [self.base]
-        vs = [g.source(self.edges[0])]
-        vs.extend(g.range(e) for e in self.edges)
-        return vs
-
 
 @dataclass(frozen=True)
 class Cycle:

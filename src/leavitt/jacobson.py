@@ -21,7 +21,6 @@ __all__ = [
     "JacobsonElement",
     "AlmostToeplitzMatrix",
     "JacobsonError",
-    "jac_zero",
     "jac_one",
     "jac_x",
     "jac_y",
@@ -69,10 +68,6 @@ class JacobsonElement(SparseElement):
             cs = self.field.to_str(self.terms[(i, j)])
             parts.append(word if cs == "1" else "%s %s" % (cs, word))
         return " + ".join(parts)
-
-
-def jac_zero(field):
-    return JacobsonElement._make(field, {})
 
 
 def jac_one(field):
@@ -130,8 +125,20 @@ class AlmostToeplitzMatrix(SparseElement):
 
     def __init__(self, field, finitary=None, band=None):
         terms = dict(finitary or {})
-        if any(i < 1 or j < 1 for i, j in terms):
-            raise JacobsonError("matrix unit indices must be >= 1")
+        for key in terms:
+            if not (
+                type(key) is tuple
+                and len(key) == 2
+                and type(key[0]) is type(key[1]) is int
+                and key[0] >= 1
+                and key[1] >= 1
+            ):
+                raise JacobsonError(
+                    "matrix unit indices must be >= 1 integers: finitary key %r" % (key,)
+                )
+        for k in band or ():
+            if type(k) is not int:
+                raise JacobsonError("band offset %r is not an integer" % (k,))
         terms.update(((0, k), c) for k, c in (band or {}).items())
         super().__init__(field, terms)
 
@@ -291,14 +298,6 @@ def jac_quotient_laurent(a):
     return LaurentPoly._make(a.field, out)
 
 
-def matrix_to_jacobson(field, fin):
-    """Finitary matrix-unit support back to a normal-form element."""
-    out = jac_zero(field)
-    for (i, j), c in fin.items():
-        out = out + jac_matrix_unit(field, i, j).scale(c)
-    return out
-
-
 @dataclass
 class DescentState:
     P: set  # row-index set P(b)
@@ -424,24 +423,19 @@ def splitting_probe(b1, bm1, b0, n):
     corner_dims = corner_dimensions(field, n)
     closure_defect = b1 * bm1 - b0
     if closure_defect:
-        return RefutationCertificate(
-            kind="closure_failure",
-            truncation=n,
-            P_rows=p_rows,
-            P_cols=p_cols,
-            dim_rho_cap_sigma=dim_rs,
-            corner_dims=corner_dims,
-            witness=closure_defect,
+        kind = "closure_failure"
+    elif corner_dims[-1] > dim_rs:
+        kind = "dimension_contradiction"
+    else:
+        raise JacobsonError(
+            "truncation %d too small to exhibit a contradiction; increase n" % n
         )
-    if corner_dims[-1] > dim_rs:
-        return RefutationCertificate(
-            kind="dimension_contradiction",
-            truncation=n,
-            P_rows=p_rows,
-            P_cols=p_cols,
-            dim_rho_cap_sigma=dim_rs,
-            corner_dims=corner_dims,
-        )
-    raise JacobsonError(
-        "truncation %d too small to exhibit a contradiction; increase n" % n
+    return RefutationCertificate(
+        kind=kind,
+        truncation=n,
+        P_rows=p_rows,
+        P_cols=p_cols,
+        dim_rho_cap_sigma=dim_rs,
+        corner_dims=corner_dims,
+        witness=closure_defect or None,
     )

@@ -44,10 +44,6 @@ class LaurentPoly(SparseElement):
                 accumulate(out, e1 + e2, mul(c1, c2), add)
         return self._make(self.field, out)
 
-    def is_unit(self):
-        """Units of F[t, t^-1] are the nonzero monomials."""
-        return len(self.terms) == 1
-
     def format(self):
         if not self.terms:
             return "0"
@@ -123,10 +119,6 @@ class LaurentMatrix(SparseElement):
             for j, n2, c2 in rows.get(k, ()):
                 accumulate(out, (i, j, n1 + n2), mul(c1, c2), add)
         return self._like(out)
-
-    def conjugate_transpose(self):
-        """Transpose with t -> t^-1 in every entry (the star image)."""
-        return self._like({(j, i, -n): c for (i, j, n), c in self.terms.items()})
 
     def __eq__(self, other):
         return SparseElement.__eq__(self, other) and self.d == other.d

@@ -9,7 +9,7 @@ zero; `SparseElement` is the one base of the elements built on such dicts.
 
 from __future__ import annotations
 
-__all__ = ["accumulate", "SparseElement", "SpanBasis", "span_rank", "invert_block"]
+__all__ = ["accumulate", "SparseElement", "SpanBasis", "invert_block"]
 
 
 def accumulate(out, key, c, add):
@@ -130,19 +130,9 @@ class SpanBasis:
         self.pivots[pivot] = {k: mul(v, inv) for k, v in residue.items()}
         return True
 
-    def contains(self, row):
-        return not self.reduce(row)
-
     @property
     def rank(self):
         return len(self.pivots)
-
-
-def span_rank(field, rows):
-    basis = SpanBasis(field)
-    for row in rows:
-        basis.add(row)
-    return basis.rank
 
 
 def invert_block(field, block, n):

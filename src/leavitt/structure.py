@@ -99,16 +99,18 @@ def ideal_chain(g):
     Stage k is the quotient by the vertices of level < k (see
     graphs.analyze); its NE cycles are the cycles of height k.  Every
     vertex reaching such a cycle has level >= k, so its entry family is
-    the same in the input as in the stage, and the input is analysed once.
+    the same in the input as in the stage.  Cycles and levels are read off
+    the input's cached components, which under growth are `analyze`'s.
     """
     gr._require_growth(g)
-    an = gr.analyze(g)
+    comps = g._components()
+    level = comps.level
     layers = [socle_layer(g)]
     stages = [g]
-    for k in range(1, max(an.level.values()) + 1):
-        stages.append(gr.quotient_graph(g, [v for v in g.vertices if an.level[v] < k]))
+    for k in range(1, max(level.values()) + 1):
+        stages.append(gr.quotient_graph(g, [v for v in g.vertices if level[v] < k]))
         layers.append(
-            [_ne_factor(g, c) for c in an.cycles if an.level[g.source(c.edges[0])] == k]
+            [_ne_factor(g, c) for c in comps.cycles if level[g.source(c.edges[0])] == k]
         )
     return StructureReport(layers=layers, stages=stages, s=len(stages) - 1)
 

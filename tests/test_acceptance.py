@@ -174,7 +174,7 @@ def _minimal_idempotents(g, field):
         if count_paths_to_sink(g, sink) is INFINITE:
             return None
         for p in all_paths_to_sink(g, sink):
-            out.append((sink, alg.path_idempotent(g, field, p)))
+            out.append((sink, alg.monomial_element(g, field, p, p)))
     return out
 
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from leavitt import graphs as gr
 from leavitt.cli import MAX_FINITARY_INDEX, MAX_PROBE_N, main
 
 from .conftest import graph_path
@@ -36,6 +37,18 @@ def test_analyze_deterministic(capsys):
     first = run(capsys, "analyze", graph_path("two_loops"), "--chain", "--json")
     second = run(capsys, "analyze", graph_path("two_loops"), "--chain", "--json")
     assert first == second
+
+
+def test_analyze_chain_analyses_the_graph_once(capsys, monkeypatch):
+    """`analyze --chain` calls `graphs.analyze` once: `ideal_chain` reads the
+    graph's cached components instead of analysing it again."""
+    argv = ("analyze", graph_path("two_loops"), "--chain", "--json")
+    expected = run(capsys, *argv)
+    assert json.loads(expected[1])["chain"]["s"] == 2
+    calls, analyze = [], gr.analyze
+    monkeypatch.setattr(gr, "analyze", lambda g: calls.append(g) or analyze(g))
+    assert run(capsys, *argv) == expected
+    assert len(calls) == 1
 
 
 def test_analyze_growth_violation(capsys):

@@ -2,6 +2,7 @@
 matrix model, descent into the finitary ideal, and the splitting probe."""
 
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,6 @@ from leavitt.jacobson import (
     jac_to_matrix,
     jac_x,
     jac_y,
-    matrix_to_jacobson,
     splitting_probe,
 )
 from leavitt.laurent import LaurentPoly
@@ -230,6 +230,14 @@ def test_quotient_multiplicative(F):
         ) * jac_quotient_laurent(b)
 
 
+def matrix_to_jacobson(field, fin):
+    """Finitary matrix-unit support back to a normal-form element."""
+    out = JacobsonElement(field, {})
+    for (i, j), c in fin.items():
+        out = out + jac_matrix_unit(field, i, j).scale(c)
+    return out
+
+
 def test_matrix_to_jacobson_roundtrip(F):
     fin = {(1, 3): F.from_int(2), (4, 2): F.from_int(-1)}
     el = matrix_to_jacobson(F, fin)
@@ -275,6 +283,22 @@ def test_constructor_rejects_indices_below_one(F):
             {rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(2)},
         )
         assert identity * m == m * identity == m
+
+
+@pytest.mark.parametrize(
+    "finitary, band, key",
+    [
+        ({(1.5, 2): 1}, None, "(1.5, 2)"),
+        (None, {0.5: 1}, "0.5"),
+        ({1: 1}, None, "key 1"),
+        ({(1, 2, 3): 1}, None, "(1, 2, 3)"),
+    ],
+)
+def test_constructor_rejects_non_integer_keys(F, finitary, band, key):
+    """A finitary key is a pair of integers >= 1 and a band offset an
+    integer; anything else is a JacobsonError naming the key."""
+    with pytest.raises(JacobsonError, match=re.escape(key)):
+        AlmostToeplitzMatrix(F, finitary, band)
 
 
 def test_descent_plain(F):

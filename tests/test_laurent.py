@@ -18,6 +18,11 @@ from leavitt.laurent import (
 from .conftest import load
 
 
+def conjugate_transpose(m):
+    """Transpose with t -> t^-1 in every entry (the star image)."""
+    return LaurentMatrix(m.field, m.d, {(j, i, -n): c for (i, j, n), c in m.terms.items()})
+
+
 def cycle_graph(d):
     vs = ["v%d" % i for i in range(1, d + 1)]
     es = [
@@ -36,10 +41,10 @@ def test_poly_arithmetic():
     assert (t + one) * (t + one) == LaurentPoly(
         field, {0: field.one(), 1: field.from_int(2), 2: field.one()}
     )
-    assert LaurentMatrix.unit(field, 1, 1, 1, t + one).conjugate_transpose() == (
+    assert conjugate_transpose(LaurentMatrix.unit(field, 1, 1, 1, t + one)) == (
         LaurentMatrix.unit(field, 1, 1, 1, tinv + one)
     )
-    assert t.is_unit() and not (t + one).is_unit()
+    assert len(t.terms) == 1 and len((t + one).terms) != 1  # t is a unit, t + 1 not
     assert (t - t).format() == "0"
     assert (tinv * tinv + one + t).format() == "t^-2 + 1 + t"
 
@@ -65,8 +70,8 @@ def test_matrix_arithmetic():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * ident == a and ident * a == a
-        assert (a * b).conjugate_transpose() == (
-            b.conjugate_transpose() * a.conjugate_transpose()
+        assert conjugate_transpose(a * b) == (
+            conjugate_transpose(b) * conjugate_transpose(a)
         )
 
 
@@ -138,7 +143,7 @@ def test_element_iso_image_3cycle():
         field, 3, 1, 1, LaurentPoly.monomial(field, 1)
     )
     # star goes to the conjugate transpose
-    assert element_iso_image(g, a1.star(), cycle) == img.conjugate_transpose()
+    assert element_iso_image(g, a1.star(), cycle) == conjugate_transpose(img)
 
 
 def test_element_iso_additive_and_multiplicative_random():

@@ -131,8 +131,9 @@ def test_corner_basis_two_sinks():
     # path idempotents p p* for full paths into each sink
     from leavitt.graphs import all_paths_to_sink
 
-    p1 = alg.path_idempotent(g, field, all_paths_to_sink(g, "s1")[-1])
-    p2 = alg.path_idempotent(g, field, all_paths_to_sink(g, "s2")[-1])
+    q1, q2 = all_paths_to_sink(g, "s1")[-1], all_paths_to_sink(g, "s2")[-1]
+    p1 = alg.monomial_element(g, field, q1, q1)
+    p2 = alg.monomial_element(g, field, q2, q2)
     same = corner_basis(g, p1, p1, maxdeg=8)
     cross = corner_basis(g, p1, p2, maxdeg=8)
     assert same.dimension == 1 and same.stabilized
