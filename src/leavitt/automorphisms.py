@@ -121,9 +121,10 @@ def induced_scalar(phi):
     field = phi.g.field
     c = AlmostToeplitzMatrix.shift_down(field)
     image = aut_apply(phi, c)
-    a = image.band.get(-1, field.zero())
+    a = image.terms.get((0, -1), field.zero())
     assert a == field.inv(phi.alpha), "quotient scalar must be alpha^-1"
-    assert set(image.band) == {-1}, "image of the shift must stay single-banded"
+    band = {k for i, k in image.terms if not i}
+    assert band == {-1}, "image of the shift must stay single-banded"
     return a
 
 
@@ -154,8 +155,9 @@ def reconstruct_conjugator(field, images, m):
             raise AutomorphismError("image of e_%d%d vanished" % (j, j))
     # fixed vector: a nonzero column of the idempotent phi(e_11)
     cols = {}
-    for (i, j), c in e11_img.finitary.items():
-        cols.setdefault(j, {})[i] = c
+    for (i, j), c in e11_img.terms.items():
+        if i:
+            cols.setdefault(j, {})[i] = c
     if not cols:
         raise AutomorphismError("no fixed vector for the corner idempotent")
     w = cols[min(cols)]
@@ -164,8 +166,8 @@ def reconstruct_conjugator(field, images, m):
     fin, add, mul = {}, field.add, field.mul
     for j in range(1, m + 1):
         vec = {}
-        for (r, c), coeff in images[("col", j)].finitary.items():
-            if c in w:
+        for (r, c), coeff in images[("col", j)].terms.items():
+            if r and c in w:
                 accumulate(vec, r, mul(coeff, w[c]), add)
         if not vec:
             raise AutomorphismError("degenerate image of e_%d1" % j)
@@ -187,7 +189,7 @@ def reconstruct_conjugator(field, images, m):
     if S is None:
         raise AutomorphismError("reconstructed conjugator is singular")
     # gauge: first nonzero entry of the first column equals 1
-    first_col = {i: c for (i, j), c in S.finitary.items() if j == 1}
+    first_col = {i: c for (i, j), c in S.terms.items() if i and j == 1}
     accumulate(first_col, 1, S.identity_scalar(), add)
     if not first_col:
         raise AutomorphismError("reconstructed conjugator has a zero column")

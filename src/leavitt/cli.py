@@ -73,7 +73,9 @@ def cmd_analyze(args):
     doc["V0"] = v0
     if args.chain:
         report = st.ideal_chain(g)
-        doc["chain"] = report.to_dict()
+        if args.json:
+            # the stage graphs' dicts are printed in JSON mode only
+            doc["chain"] = report.to_dict()
         lines.append("ideal chain (s = %d):" % report.s)
         for depth, layer in enumerate(report.layers):
             descr = ", ".join(_factor_str(f) for f in layer) or "(empty)"

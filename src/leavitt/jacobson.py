@@ -50,24 +50,27 @@ class JacobsonElement(SparseElement):
     _error = JacobsonError
     _mismatch = "elements over different fields"
 
-    def __mul__(self, other):
+    # aliased into the class dict, where the benchmark's tracer counts it
+    __mul__ = SparseElement.__mul__
+
+    @staticmethod
+    def _pair(ctx, k1, k2):
         # (y^i x^j)(y^k x^l) = y^(i + max(0, k-j)) x^(l + max(0, j-k))
-        self._compat(other)
-        out, add, mul = {}, self.field.add, self.field.mul
-        for (i, j), c1 in self.terms.items():
-            for (k, l), c2 in other.terms.items():
-                accumulate(out, (i + max(0, k - j), l + max(0, j - k)), mul(c1, c2), add)
-        return self._make(self.field, out)
+        (i, j), (k, l) = k1, k2
+        return ((1, (i + max(0, k - j), l + max(0, j - k))),)
+
+    def _check_key(self, key):
+        if not (type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
+                and min(key) >= 0):
+            raise JacobsonError("monomial key %r is not a pair of integers >= 0" % (key,))
 
     def format(self):
-        if not self.terms:
-            return "0"
         parts = []
         for (i, j) in sorted(self.terms):
             word = " ".join(["y"] * i + ["x"] * j) or "1"
             cs = self.field.to_str(self.terms[(i, j)])
             parts.append(word if cs == "1" else "%s %s" % (cs, word))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 def jac_one(field):
@@ -107,6 +110,9 @@ def jac_parse(text, field):
     return parse_expression(text, _JTOKEN_RE, atom, lambda: jac_one(field), field)
 
 
+_FINITARY_KEY = "matrix unit indices must be >= 1 integers: finitary key %r"
+
+
 class AlmostToeplitzMatrix(SparseElement):
     """Exact N x N matrix of the form (finitary) + sum_k b_k c^(k).
 
@@ -125,22 +131,22 @@ class AlmostToeplitzMatrix(SparseElement):
 
     def __init__(self, field, finitary=None, band=None):
         terms = dict(finitary or {})
+        # row 0 holds the band, so a finitary key there is no matrix entry
         for key in terms:
-            if not (
-                type(key) is tuple
-                and len(key) == 2
-                and type(key[0]) is type(key[1]) is int
-                and key[0] >= 1
-                and key[1] >= 1
-            ):
-                raise JacobsonError(
-                    "matrix unit indices must be >= 1 integers: finitary key %r" % (key,)
-                )
-        for k in band or ():
-            if type(k) is not int:
-                raise JacobsonError("band offset %r is not an integer" % (k,))
+            if type(key) is tuple and len(key) == 2 and key[0] == 0:
+                raise JacobsonError(_FINITARY_KEY % (key,))
         terms.update(((0, k), c) for k, c in (band or {}).items())
         super().__init__(field, terms)
+
+    def _check_key(self, key):
+        # __init__ keeps finitary keys out of row 0: (0, k) is the band offset k
+        if type(key) is tuple and len(key) == 2:
+            i, j = key
+            if type(i) is type(j) is int and (i == 0 or i >= 1 and j >= 1):
+                return
+            if type(i) is int and i == 0:
+                raise JacobsonError("band offset %r is not an integer" % (j,))
+        raise JacobsonError(_FINITARY_KEY % (key,))
 
     @property
     def finitary(self):
@@ -223,7 +229,8 @@ class AlmostToeplitzMatrix(SparseElement):
 
     def identity_scalar(self):
         """alpha when the matrix is alpha Id + finitary, else None."""
-        return self.terms.get((0, 0)) if self.band.keys() == {0} else None
+        alpha = self.terms.get((0, 0))
+        return alpha if alpha and all(i or not k for i, k in self.terms) else None
 
     def support_bound(self):
         """Least n with all finitary entries inside the n x n corner."""
@@ -305,8 +312,8 @@ class DescentState:
     N: int  # first k with b^k a in rho
 
 
-def _rows_outside(fin, P):
-    return [i for (i, j) in fin if i not in P and fin[(i, j)]]
+def _rows_outside(m, P):
+    return [i for i, _ in m.terms if i and i not in P]
 
 
 def descent_measure(a, b, extra_steps=5):
@@ -328,13 +335,12 @@ def descent_measure(a, b, extra_steps=5):
     b_fin = jac_to_matrix(b - jac_x(field))
     if not b_fin.is_finitary():
         raise JacobsonError("b - x is not finitary")
-    P = {i for (i, j) in b_fin.finitary}
+    P = {i for i, _ in b_fin.terms}
     measures = []
     current = a
     k = 0
     while True:
-        fin = jac_to_matrix(current).finitary
-        outside = _rows_outside(fin, P)
+        outside = _rows_outside(jac_to_matrix(current), P)
         if not outside:
             break
         measures.append(max(outside))
@@ -347,8 +353,7 @@ def descent_measure(a, b, extra_steps=5):
     probe = current
     for _ in range(extra_steps):
         probe = b * probe
-        fin = jac_to_matrix(probe).finitary
-        if _rows_outside(fin, P):
+        if _rows_outside(jac_to_matrix(probe), P):
             raise AssertionError("membership in rho not stable")
     return DescentState(P=P, measures=measures, N=N)
 
@@ -360,12 +365,12 @@ def corner_dimensions(field, n):
     so degree m adds (1 - yx) y^i x^(m-i) to one span basis, whose rank
     is then the m-th dimension.
     """
-    e11 = jac_matrix_unit(field, 1, 1)
+    e11, one = jac_matrix_unit(field, 1, 1), field.one()
     basis = SpanBasis(field)
     dims = []
     for m in range(n + 1):
         for i in range(m + 1):
-            el = e11 * jac_monomial(field, i, m - i)
+            el = e11 * JacobsonElement._make(field, {(i, m - i): one})
             if el:
                 basis.add(el.coordinates())
         dims.append(basis.rank)
@@ -417,8 +422,8 @@ def splitting_probe(b1, bm1, b0, n):
         raise JacobsonError("bm1 does not map to t")
     if jac_quotient_laurent(b0) != LaurentPoly.one(field):
         raise JacobsonError("b0 does not map to 1")
-    p_rows = {i for (i, j) in jac_to_matrix(b1 - jac_x(field)).finitary}
-    p_cols = {j for (i, j) in jac_to_matrix(bm1 - jac_y(field)).finitary}
+    p_rows = {i for i, _ in jac_to_matrix(b1 - jac_x(field)).terms if i}
+    p_cols = {j for i, j in jac_to_matrix(bm1 - jac_y(field)).terms if i}
     dim_rs = len(p_rows) * len(p_cols)
     corner_dims = corner_dimensions(field, n)
     closure_defect = b1 * bm1 - b0

@@ -36,58 +36,45 @@ class LaurentPoly(SparseElement):
     def monomial(cls, field, exponent, coeff=None):
         return cls(field, {exponent: coeff if coeff is not None else field.one()})
 
-    def __mul__(self, other):
-        self._compat(other)
-        out, add, mul = {}, self.field.add, self.field.mul
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(out, e1 + e2, mul(c1, c2), add)
-        return self._make(self.field, out)
+    @staticmethod
+    def _pair(ctx, e1, e2):
+        return ((1, e1 + e2),)
+
+    def _check_key(self, key):
+        if type(key) is not int:
+            raise ValueError("Laurent exponent %r is not an integer" % (key,))
 
     def format(self):
-        if not self.terms:
-            return "0"
         parts = []
         for e in sorted(self.terms):
             cs = self.field.to_str(self.terms[e])
-            if e == 0:
-                parts.append(cs)
-                continue
-            t = "t" if e == 1 else "t^%d" % e
-            parts.append(t if cs == "1" else "%s%s" % (cs, t))
-        return " + ".join(parts)
+            t = "" if e == 0 else "t" if e == 1 else "t^%d" % e
+            parts.append(t if t and cs == "1" else cs + t)
+        return " + ".join(parts) or "0"
 
 
 class LaurentMatrix(SparseElement):
     """d x d matrix over F[t, t^-1]: `terms` maps (i, j, n), with 1-based
     i, j, to the nonzero raw coefficient of t^n e_ij."""
 
-    __slots__ = ("d",)
+    __slots__ = ()
     _error = ValueError
     _mismatch = "Laurent matrix size or field mismatch"
 
     def __init__(self, field, d, terms=None):
         if d < 1:
             raise ValueError("matrix size must be >= 1")
-        for i, j, _ in terms or ():
-            if not (1 <= i <= d and 1 <= j <= d):
-                raise ValueError("matrix index (%r, %r) outside 1..%d" % (i, j, d))
-        self.d = d
-        super().__init__(field, terms)
+        super().__init__(field, terms, d)
 
-    @classmethod
-    def _make(cls, field, d, terms):
-        el = object.__new__(cls)
-        el.field, el.d, el.terms = field, d, terms
-        return el
+    @property
+    def d(self):
+        return self.ctx
 
-    def _like(self, terms):
-        return self._make(self.field, self.d, terms)
-
-    def _compat(self, other):
-        if self.d != other.d:
-            raise ValueError(self._mismatch)
-        super()._compat(other)
+    def _check_key(self, key):
+        if not (type(key) is tuple and len(key) == 3 and all(type(x) is int for x in key)):
+            raise ValueError("matrix key %r is not a triple of integers" % (key,))
+        if not (1 <= key[0] <= self.ctx and 1 <= key[1] <= self.ctx):
+            raise ValueError("matrix index (%r, %r) outside 1..%d" % (*key[:2], self.ctx))
 
     @classmethod
     def zero(cls, field, d):
@@ -107,23 +94,11 @@ class LaurentMatrix(SparseElement):
             raise ValueError(cls._mismatch)
         return m._like({(i, j, n): c for n, c in poly.terms.items()})
 
-    def __mul__(self, other):
-        """t^n1 e_ik . t^n2 e_kj = t^(n1+n2) e_ij, through `other`'s rows."""
-        self._compat(other)
-        add, mul = self.field.add, self.field.mul
-        rows = {}
-        for (k, j, n), c in other.terms.items():
-            rows.setdefault(k, []).append((j, n, c))
-        out = {}
-        for (i, k, n1), c1 in self.terms.items():
-            for j, n2, c2 in rows.get(k, ()):
-                accumulate(out, (i, j, n1 + n2), mul(c1, c2), add)
-        return self._like(out)
-
-    def __eq__(self, other):
-        return SparseElement.__eq__(self, other) and self.d == other.d
-
-    __hash__ = SparseElement.__hash__
+    @staticmethod
+    def _pair(ctx, k1, k2):
+        # t^n1 e_ik . t^n2 e_kj = t^(n1+n2) e_ij
+        (i, k, n1), (k2, j, n2) = k1, k2
+        return ((1, (i, j, n1 + n2)),) if k == k2 else ()
 
     def format(self):
         entries = {}
@@ -178,7 +153,7 @@ def element_iso_image(g, a, cycle):
     terms = {}
     for m, c in a.terms.items():
         accumulate(terms, _image(g, pos, edges, m), c, add)
-    return LaurentMatrix._make(a.field, len(cycle), terms)
+    return LaurentMatrix._make(a.field, terms, len(cycle))
 
 
 def verify_cycle_iso(g, cycle, maxlen, field):
@@ -187,8 +162,8 @@ def verify_cycle_iso(g, cycle, maxlen, field):
 
     The left side goes through the rewriting engine; the right side is
     matrix-unit arithmetic, t^n1 e_{i1,j1} . t^n2 e_{i2,j2} =
-    delta_{j1,i2} t^(n1+n2) e_{i1,j2}: the rule of `LaurentMatrix.__mul__`
-    on one-term operands, inlined here on bare (i, j, n) keys.
+    delta_{j1,i2} t^(n1+n2) e_{i1,j2}: the rule of `LaurentMatrix._pair`,
+    inlined here on bare (i, j, n) keys.
     """
     pos, edges, d = _positions(g, cycle), frozenset(cycle.edges), len(cycle)
     add, mul = field.add, field.mul

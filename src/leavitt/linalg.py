@@ -26,31 +26,39 @@ def accumulate(out, key, c, add):
 
 class SparseElement:
     """A finite linear combination: `terms` maps keys to nonzero raw values
-    of `field`.  Sums, negation, scaling, equality and hashing are the same
-    for every kind of key.  A subclass gives its key product (`__mul__`),
-    `format`, and the error class `_error` and message `_mismatch` that a
-    sum or product of incompatible elements raises."""
+    of `field`; `ctx` is what else two elements must share (a graph, a
+    matrix size, or None).  A subclass gives `_pair(ctx, k1, k2)`, the
+    (sign, key) pairs of the product of two keys, `format`, `_check_key`
+    for a caller's key, and the error class `_error` and message
+    `_mismatch` for operands that do not match."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "ctx")
 
-    def __init__(self, field, terms=None):
-        self.field = field
+    def __init__(self, field, terms=None, ctx=None):
+        self.field, self.ctx, check = field, ctx, self._check_key
+        for key in terms or ():
+            check(key)
         self.terms = field.check_terms(terms or {})
 
+    def _check_key(self, key):
+        """Raise `_error` naming `key` when it is no key of this kind."""
+
     @classmethod
-    def _make(cls, field, terms):
+    def _make(cls, field, terms, ctx=None):
         """An element on `terms` as given: zero-free values of `field`."""
         el = object.__new__(cls)
-        el.field, el.terms = field, terms
+        el.field, el.terms, el.ctx = field, terms, ctx
         return el
 
     def _like(self, terms):
         """An element on `terms` in the context of `self`."""
-        return self._make(self.field, terms)
+        return self._make(self.field, terms, self.ctx)
 
     def _compat(self, other):
-        # identity first: elements of one computation share their field
-        if self.field is not other.field and self.field != other.field:
+        # identity first: elements of one computation share field and ctx
+        if (self.field is not other.field and self.field != other.field) or (
+            self.ctx is not other.ctx and self.ctx != other.ctx
+        ):
             raise self._error(self._mismatch)
 
     def __add__(self, other):
@@ -67,6 +75,19 @@ class SparseElement:
     def __sub__(self, other):
         return self + (-other)
 
+    def __mul__(self, other):
+        self._compat(other)
+        ctx, pair, out = self.ctx, self._pair, {}
+        add, mul, neg = self.field.add, self.field.mul, self.field.neg
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                pairs = pair(ctx, k1, k2)
+                if pairs:
+                    c = mul(c1, c2)
+                    for sign, k in pairs:
+                        accumulate(out, k, c if sign > 0 else neg(c), add)
+        return self._make(self.field, out, ctx)
+
     def scale(self, scalar):
         field = self.field
         scalar = field.check_value(scalar)
@@ -80,6 +101,7 @@ class SparseElement:
             type(other) is type(self)
             and self.field == other.field
             and self.terms == other.terms
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
         )
 
     def __hash__(self):

@@ -51,6 +51,21 @@ def test_analyze_chain_analyses_the_graph_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_chain_text_builds_no_graph_dicts(capsys, monkeypatch):
+    """Plain-text `analyze --chain` prints no stage graph, so it builds no
+    graph dict; its output is the golden one.  JSON mode still builds them."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", "cli.json")) as fh:
+        golden = {tuple(c["argv"]): c for c in json.load(fh)}
+    calls, to_dict = [], gr.Graph.to_dict
+    monkeypatch.setattr(gr.Graph, "to_dict", lambda g: calls.append(g) or to_dict(g))
+    argv = ("analyze", "{tests}/graphs/two_loops.json", "--chain")
+    code, out, _ = run(capsys, "analyze", graph_path("two_loops"), "--chain")
+    assert (code, out) == (golden[argv]["exit"], golden[argv]["stdout"])
+    assert calls == []
+    run(capsys, "analyze", graph_path("two_loops"), "--chain", "--json")
+    assert calls
+
+
 def test_analyze_growth_violation(capsys):
     code, out, err = run(capsys, "analyze", graph_path("bad_growth"), "--chain")
     assert code == 3

@@ -13,6 +13,7 @@ the kernel alone.
 
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from leavitt.jacobson import (
     jac_one,
 )
 from leavitt.laurent import LaurentMatrix, LaurentPoly
-from leavitt.linalg import SpanBasis, accumulate
+from leavitt.linalg import SpanBasis, SparseElement, accumulate
 
 from .conftest import load
 
@@ -183,6 +184,12 @@ def test_entry_points_check_caller_values(fname, bad):
             call()
 
 
+def _on_terms(cls):
+    """A builder on `terms` itself: the public constructor rejects keys of
+    other kinds, and every kind's keys must give a twin."""
+    return lambda field, terms: cls._make(field, field.check_terms(terms))
+
+
 def _element_kinds():
     """kind -> (builder(field, terms), three keys of that kind)."""
     g = load("toeplitz")
@@ -191,18 +198,14 @@ def _element_kinds():
             lambda field, terms: alg.AlgebraElement(g, field, terms),
             alg.enumerate_basis(g, make_field("Q"), 2)[:3],
         ),
-        "jacobson": (JacobsonElement, [(0, 0), (1, 2), (2, 1)]),
-        "laurent": (LaurentPoly, [-1, 0, 2]),
+        "jacobson": (_on_terms(JacobsonElement), [(0, 0), (1, 2), (2, 1)]),
+        "laurent": (_on_terms(LaurentPoly), [-1, 0, 2]),
         "laurent_matrix": (
             lambda field, terms: LaurentMatrix(field, 3, terms),
             [(1, 1, 0), (1, 2, -1), (3, 2, 2)],
         ),
-        # built on `terms` itself, so that every kind's keys give a twin;
         # (0, 2) is the band c^(2)
-        "almost_toeplitz": (
-            lambda field, terms: AlmostToeplitzMatrix._make(field, field.check_terms(terms)),
-            [(1, 1), (0, 2), (3, 2)],
-        ),
+        "almost_toeplitz": (_on_terms(AlmostToeplitzMatrix), [(1, 1), (0, 2), (3, 2)]),
     }
 
 
@@ -258,3 +261,47 @@ def test_equal_automorphisms_collapse_in_a_set():
     phi, psi = ToeplitzAutomorphism(2, g), ToeplitzAutomorphism(2, atm(QQ, {(1, 2): 3}, {0: 1}))
     assert phi is not psi and phi == psi and hash(phi) == hash(psi)
     assert len({phi, psi, ToeplitzAutomorphism(3, g)}) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("jacobson", (-1, 2)),
+        ("jacobson", (True, 2)),
+        ("jacobson", 2),
+        ("laurent", 0.5),
+        ("laurent", True),
+        ("laurent_matrix", (1, 2, 0.5)),
+        ("laurent_matrix", (1, 2)),
+    ],
+)
+def test_constructors_check_keys(kind, key):
+    """A key from a caller is checked where it enters an element, and one
+    that is no key of the kind raises the kind's error naming it."""
+    QQ = make_field("Q")
+    build, error = {
+        "jacobson": (lambda terms: JacobsonElement(QQ, terms), JacobsonError),
+        "laurent": (lambda terms: LaurentPoly(QQ, terms), ValueError),
+        "laurent_matrix": (lambda terms: LaurentMatrix(QQ, 2, terms), ValueError),
+    }[kind]
+    with pytest.raises(error, match=re.escape(repr(key))):
+        build({key: 1})
+
+
+def test_sparse_element_is_the_one_home_of_the_contract():
+    """No element kind redefines the construction, context, equality or
+    hashing of `SparseElement`, and only `AlmostToeplitzMatrix`, whose band
+    products emit finitary corrections, has a product loop of its own."""
+    kinds = set(SparseElement.__subclasses__())
+    assert kinds == {
+        alg.AlgebraElement,
+        JacobsonElement,
+        LaurentPoly,
+        LaurentMatrix,
+        AlmostToeplitzMatrix,
+    }
+    for cls in kinds:
+        own = vars(cls)
+        assert not {"_make", "_like", "_compat", "__eq__", "__hash__"} & own.keys(), cls
+        mul = own.get("__mul__", SparseElement.__mul__)
+        assert mul is SparseElement.__mul__ or cls is AlmostToeplitzMatrix, cls
