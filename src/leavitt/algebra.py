@@ -120,6 +120,17 @@ class AlgebraElement(SparseElement):
     def __init__(self, graph, field, terms):
         super().__init__(field, terms, graph)
 
+    def _check_key(self, key):
+        g = self.ctx
+        ok = isinstance(key, Monomial) and key.vertex in g.position
+        for path in (key.p, key.q) if ok else ():
+            v = key.vertex  # walk the path back from its range
+            for e in reversed(path) if type(path) is tuple else (None,):
+                s, r = g.ends.get(e, (None, None))
+                ok, v = ok and r == v, s
+        if not ok or _is_reducible(g, key.p, key.q):
+            raise AlgebraError("%r is no normal-form monomial of the graph" % (key,))
+
     @property
     def graph(self):
         return self.ctx
@@ -155,10 +166,9 @@ def vertex_element(g, field, v):
 
 
 def edge_element(g, field, e):
-    m = g._edge_map().get(e)
-    if m is None:
+    if e not in g.ends:
         raise AlgebraError("unknown edge %r" % e)
-    return AlgebraElement._make(field, {Monomial((e,), (), m[1]): field.one()}, g)
+    return AlgebraElement._make(field, {Monomial((e,), (), g.range(e)): field.one()}, g)
 
 
 def ghost_element(g, field, e):
@@ -281,7 +291,7 @@ def parse_element(text, g, field, bindings=None):
             if ghost:
                 raise ParseError("vertex %r cannot carry a ghost mark" % name, pos)
             return vertex_element(g, field, name)
-        if name in g._edge_map():
+        if name in g.ends:
             return (ghost_element if ghost else edge_element)(g, field, name)
         if name in bindings:
             return bindings[name].star() if ghost else bindings[name]

@@ -107,7 +107,7 @@ def cmd_calc(args):
             name, body = expr.split("=", 1)
             name = name.strip()
             readable = name.isascii() and name.isidentifier()  # a calc id token
-            if not readable or name in g.vertices or name in g._edge_map():  # ids shadow it
+            if not readable or name in g.vertices or name in g.ends:  # ids shadow it
                 raise ParseError("cannot bind %r: not an id token, or a graph id" % name, 0)
         el = alg.parse_element(body, g, field, bindings)
         if args.star:

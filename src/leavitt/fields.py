@@ -330,7 +330,6 @@ class BinaryField(Field):
         if k not in MODULI:
             raise FieldError("unsupported extension degree %d (need 1 <= k <= 16)" % k)
         self.k = k
-        self.modulus = MODULI[k]
         self.order = (1 << k) - 1  # of the multiplicative group
 
     def __eq__(self, other):

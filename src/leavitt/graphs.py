@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 __all__ = [
@@ -60,16 +61,10 @@ class NotPolynomialGrowth(GraphError):
 INFINITE = math.inf  # an infinite path count
 
 
-class _Adjacency(NamedTuple):
-    position: dict  # vertex -> document index
-    out: dict  # vertex -> tuple of out-edge ids, document order
-    into: dict  # vertex -> tuple of in-edge ids, document order
-
-
 class _Components(NamedTuple):
     rank: dict  # vertex -> position in Tarjan's output (successors first)
     on_cycle: set  # vertices of non-trivial components
-    level: dict  # vertex -> level, see analyze
+    level: dict  # vertex -> level, see _tarjan
     growth: bool
     cycles: tuple  # one Cycle per non-trivial component if growth holds
     cycle_at: dict  # vertex -> index into cycles
@@ -77,69 +72,61 @@ class _Components(NamedTuple):
 
 @dataclass(frozen=True)
 class Graph:
+    """A graph checked and indexed once, on construction.
+
+    The pass that checks the ids also builds four read-only tables:
+    `position` (vertex -> document index), `ends` (edge -> (source,
+    range)), and `out` and `into` (vertex -> tuple of edge ids, document
+    order).  The SCC pass is left until something asks for it.
+    """
+
     vertices: tuple
     edges: tuple  # of (edge id, source, range)
 
     def __post_init__(self):
         if not self.vertices:
             raise GraphError("empty vertex set")
-        seen = set()
+        position, ends = {}, {}
         for v in self.vertices:
-            if v in seen:
+            if v in position:
                 raise GraphError("duplicate vertex id %r" % v)
-            seen.add(v)
-        vset = set(self.vertices)
-        eids = set()
+            position[v] = len(position)
+        out = {v: [] for v in self.vertices}
+        into = {v: [] for v in self.vertices}
         for eid, s, r in self.edges:
-            if eid in eids or eid in vset:
+            if eid in ends or eid in position:
                 raise GraphError("duplicate id %r" % eid)
-            eids.add(eid)
-            if s not in vset:
+            if s not in position:
                 raise GraphError("edge %r has undeclared source %r" % (eid, s))
-            if r not in vset:
+            if r not in position:
                 raise GraphError("edge %r has undeclared range %r" % (eid, r))
+            ends[eid] = (s, r)
+            out[s].append(eid)
+            into[r].append(eid)
+        self.__dict__.update(
+            position=position,
+            ends=ends,
+            out={v: tuple(es) for v, es in out.items()},
+            into={v: tuple(es) for v, es in into.items()},
+        )
 
     def source(self, eid):
-        return self._edge_map()[eid][0]
+        return self.ends[eid][0]
 
     def range(self, eid):
-        return self._edge_map()[eid][1]
+        return self.ends[eid][1]
 
-    def _edge_map(self):
-        m = self.__dict__.get("_emap")
-        if m is None:
-            m = {eid: (s, r) for eid, s, r in self.edges}
-            self.__dict__["_emap"] = m
-        return m
-
-    def _adjacency(self):
-        adj = self.__dict__.get("_adj")
-        if adj is None:
-            out = {v: [] for v in self.vertices}
-            into = {v: [] for v in self.vertices}
-            for eid, s, r in self.edges:
-                out[s].append(eid)
-                into[r].append(eid)
-            adj = self.__dict__["_adj"] = _Adjacency(
-                {v: i for i, v in enumerate(self.vertices)},
-                {v: tuple(es) for v, es in out.items()},
-                {v: tuple(es) for v, es in into.items()},
-            )
-        return adj
-
+    @cached_property
     def _components(self):
-        comps = self.__dict__.get("_scc")
-        if comps is None:
-            comps = self.__dict__["_scc"] = _tarjan(self)
-        return comps
+        return _tarjan(self)
 
     def out_edges(self, v):
         """Edge ids with source v, in document order."""
-        return self._adjacency().out.get(v, ())
+        return self.out.get(v, ())
 
     def in_edges(self, v):
         """Edge ids with range v, in document order."""
-        return self._adjacency().into.get(v, ())
+        return self.into.get(v, ())
 
     def is_sink(self, v):
         return not self.out_edges(v)
@@ -153,7 +140,7 @@ class Graph:
         return out[0] if out else None
 
     def vertex_index(self, v):
-        return self._adjacency().position[v]
+        return self.position[v]
 
     def to_dict(self):
         return {
@@ -201,7 +188,6 @@ class GraphAnalysis:
     polynomial_growth: bool
     exits: dict = field(default_factory=dict)  # cycle -> edge list
     ne_cycles: list = field(default_factory=list)
-    level: dict = field(default_factory=dict)  # vertex -> level
 
 
 def _id(value, what):
@@ -250,12 +236,16 @@ def load_graph(path_or_file):
 def _tarjan(g):
     """Components, growth test, levels and (under growth) the cycles.
 
+    A vertex has level 0 if it reaches no cycle, and otherwise the largest
+    height among the cycles it reaches; a cycle's height is 1 plus the
+    largest height among the other cycles it reaches (1 if none).  Stage k
+    of the ideal chain is the quotient by the vertices of level < k.
+
     A component is completed after every component it reaches, so its
     level, the largest level it reaches plus one if it is non-trivial, is
     known when it is popped.  Cycles start at their least vertex.
     """
-    position, out, _ = g._adjacency()
-    emap = g._edge_map()
+    position, out, ends = g.position, g.out, g.ends
     index, low, rank, level, succ = {}, {}, {}, {}, {}
     stack, on_cycle, starts = [], set(), []
     growth = True
@@ -268,7 +258,7 @@ def _tarjan(g):
         while work:
             v, edges = work[-1]
             for eid in edges:
-                w = emap[eid][1]
+                w = ends[eid][1]
                 if w not in index:
                     index[w] = low[w] = len(index)
                     stack.append(w)
@@ -290,7 +280,7 @@ def _tarjan(g):
                 for u in comp:
                     rank[u] = len(rank)
                     for eid in out[u]:
-                        w = emap[eid][1]
+                        w = ends[eid][1]
                         if w in level:
                             reach = max(reach, level[w])
                         else:
@@ -310,7 +300,7 @@ def _tarjan(g):
             while v not in cycle_at:
                 cycle_at[v] = len(cycles)
                 edges.append(succ[v])
-                v = emap[succ[v]][1]
+                v = ends[succ[v]][1]
             cycles.append(Cycle(tuple(edges)))
     return _Components(rank, on_cycle, level, growth, tuple(cycles), cycle_at)
 
@@ -323,41 +313,36 @@ def _simple_cycles(g):
     to it through such vertices, so each cycle appears once.  Only graphs
     that fail the growth test need this.
     """
-    order = g._adjacency().position
+    order, out, ends = g.position, g.out, g.ends
     cycles = []
-    for start in sorted(g._components().on_cycle, key=order.get):
+    for start in sorted(g._components.on_cycle, key=order.get):
         live = _reaching(g, {start}, lambda v: order[v] > order[start])
         path, visited = [], {start}
-        work = [iter(g.out_edges(start))]
+        work = [iter(out[start])]
         while work:
             for eid in work[-1]:
-                nxt = g.range(eid)
+                nxt = ends[eid][1]
                 if nxt == start:
                     cycles.append(Cycle(tuple(path) + (eid,)))
                 elif nxt in live and nxt not in visited:
                     visited.add(nxt)
                     path.append(eid)
-                    work.append(iter(g.out_edges(nxt)))
+                    work.append(iter(out[nxt]))
                     break
             else:
                 work.pop()
                 if path:
-                    visited.remove(g.range(path.pop()))
+                    visited.remove(ends[path.pop()][1])
     return cycles
 
 
 def analyze(g):
-    """Sinks, cycles, exits, NE cycles, growth verdict and vertex levels.
-
-    A vertex has level 0 if it reaches no cycle, and otherwise the largest
-    height among the cycles it reaches; a cycle's height is 1 plus the
-    largest height among the other cycles it reaches (1 if none).  Stage k
-    of the ideal chain is the quotient by the vertices of level < k.
+    """Sinks, cycles, exits, NE cycles and the growth verdict.
 
     Cycles come from the components when the growth test passes; otherwise
     every simple cycle is enumerated, which is exponential by nature.
     """
-    comps = g._components()
+    comps = g._components
     cycles = list(comps.cycles) if comps.growth else _simple_cycles(g)
     through = {}
     for i, c in enumerate(cycles):
@@ -375,19 +360,18 @@ def analyze(g):
         polynomial_growth=comps.growth,
         exits=dict(zip(cycles, exit_lists)),
         ne_cycles=[c for c, ex in zip(cycles, exit_lists) if not ex],
-        level=dict(comps.level),
     )
 
 
 def _require_growth(g):
     """Raise NotPolynomialGrowth, with a witness pair, if g fails the test."""
-    if not g._components().growth:
+    if not g._components.growth:
         raise NotPolynomialGrowth(*_pick_intersecting(analyze(g), g))
 
 
 def compute_V0(g):
     """Vertices from which no cycle vertex is reachable (self included)."""
-    level = g._components().level
+    level = g._components.level
     return {v for v in g.vertices if level[v] == 0}
 
 
@@ -401,7 +385,7 @@ def compute_V1(g):
     if g.sinks():
         raise GraphError("graph has sinks: %s" % g.sinks())
     _require_growth(g)
-    level = g._components().level
+    level = g._components.level
     return {v for v in g.vertices if level[v] <= 1}
 
 
@@ -448,7 +432,7 @@ def _entry_witness(g, cycle):
     """For an NE cycle of a polynomial-growth graph: an InfiniteFamily from
     the first other cycle (in cycle order) reaching it, or None if none
     does and its entry paths are finitely many."""
-    comps = g._components()
+    comps = g._components
     cyc_vs = set(cycle.vertices(g))
     reaching = {comps.cycle_at[v] for v in _reaching(g, cyc_vs) if v in comps.cycle_at}
     reaching.discard(comps.cycle_at[cycle.vertices(g)[0]])
@@ -469,8 +453,8 @@ def _paths_into(g, ends, avoid, cap):
         frontier = [
             Path(p.base, (eid,) + p.edges)
             for p in frontier
-            for eid in g.in_edges(p.source(g))
-            if g.source(eid) not in avoid
+            for eid in g.into[p.source(g)]
+            if g.ends[eid][0] not in avoid
         ]
         result.extend(frontier)
     return result
@@ -488,11 +472,12 @@ def _pick_intersecting(an, g):
 def _reaching(g, targets, keep=None):
     """Vertices with a path (trivial included) ending in `targets`, through
     vertices accepted by `keep` (all by default)."""
+    into, ends = g.into, g.ends
     seen = set(targets)
     stack = list(seen)
     while stack:
-        for eid in g.in_edges(stack.pop()):
-            s = g.source(eid)
+        for eid in into[stack.pop()]:
+            s = ends[eid][0]
             if s not in seen and (keep is None or keep(s)):
                 seen.add(s)
                 stack.append(s)
@@ -503,7 +488,8 @@ def _connecting_path(g, from_vs, to_vs):
     """Shortest path starting in from_vs and ending in to_vs (BFS)."""
     from collections import deque
 
-    starts = sorted(from_vs, key=g.vertex_index)
+    out, ends = g.out, g.ends
+    starts = sorted(from_vs, key=g.position.__getitem__)
     reached_by = dict.fromkeys(starts)  # vertex -> edge first reaching it
     queue = deque(starts)
     while queue:
@@ -512,10 +498,10 @@ def _connecting_path(g, from_vs, to_vs):
             edges = []
             while reached_by[v] is not None:
                 edges.append(reached_by[v])
-                v = g.source(reached_by[v])
+                v = ends[reached_by[v]][0]
             return Path(v, tuple(reversed(edges)))
-        for eid in g.out_edges(v):
-            r = g.range(eid)
+        for eid in out[v]:
+            r = ends[eid][1]
             if r not in reached_by:
                 reached_by[r] = eid
                 queue.append(r)
@@ -525,21 +511,21 @@ def _connecting_path(g, from_vs, to_vs):
 def _count_paths_into(g, ends, avoid=()):
     """len(_paths_into(g, ends, avoid, cap)) without listing the paths, or
     INFINITE if a cycle outside `avoid` feeds them."""
-    comps = g._components()
+    comps = g._components
     back = _reaching(g, ends, lambda s: s not in avoid)
     if not back.difference(avoid).isdisjoint(comps.on_cycle):
         return INFINITE
     # acyclic feeding region, predecessors first (Tarjan's order reversed)
     ending = {}  # u -> number of paths ending at u
     for u in sorted(back, key=comps.rank.__getitem__, reverse=True):
-        feeders = (g.source(e) for e in g.in_edges(u))
+        feeders = (g.ends[e][0] for e in g.into[u])
         ending[u] = 1 + sum(ending[s] for s in feeders if s not in avoid)
     return sum(ending[v] for v in ends)
 
 
 def count_paths_to_sink(g, v):
     """Number of paths ending at sink v (trivial path included), or INFINITE."""
-    if v not in g._components().rank or not g.is_sink(v):
+    if v not in g._components.rank or not g.is_sink(v):
         raise GraphError("%r is not a sink" % v)
     return _count_paths_into(g, [v])
 

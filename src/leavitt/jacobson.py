@@ -120,9 +120,9 @@ class AlmostToeplitzMatrix(SparseElement):
     >= 1.  One `terms` dict holds both parts: key (i, j) with i, j >= 1 is
     the finitary entry e_ij, key (0, k) is b_k.  Row 0 is never a matrix
     row, so the two cannot collide, and j - i is the diagonal of every key.
-    `finitary` and `band` are copies built per access.  The class is closed
-    under add, mul and transpose; band-band products re-enter the form with
-    an explicit finitary correction, so no truncation ever happens.
+    The class is closed under add, mul and transpose; band-band products
+    re-enter the form with an explicit finitary correction, so no
+    truncation ever happens.
     """
 
     __slots__ = ()
@@ -147,14 +147,6 @@ class AlmostToeplitzMatrix(SparseElement):
             if type(i) is int and i == 0:
                 raise JacobsonError("band offset %r is not an integer" % (j,))
         raise JacobsonError(_FINITARY_KEY % (key,))
-
-    @property
-    def finitary(self):
-        return {k: c for k, c in self.terms.items() if k[0]}
-
-    @property
-    def band(self):
-        return {k: c for (i, k), c in self.terms.items() if not i}
 
     @classmethod
     def zero(cls, field):

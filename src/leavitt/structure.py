@@ -55,7 +55,7 @@ class StructureReport:
         return {
             "layers": [[f.to_dict() for f in layer] for layer in self.layers],
             "s": self.s,
-            "stages": [g.to_dict() for g in self.stages if g is not None],
+            "stages": [g.to_dict() for g in self.stages],
         }
 
 
@@ -97,13 +97,13 @@ def ideal_chain(g):
     """The full chain: socle layer, then NE stages until the graph is gone.
 
     Stage k is the quotient by the vertices of level < k (see
-    graphs.analyze); its NE cycles are the cycles of height k.  Every
+    graphs._tarjan); its NE cycles are the cycles of height k.  Every
     vertex reaching such a cycle has level >= k, so its entry family is
     the same in the input as in the stage.  Cycles and levels are read off
     the input's cached components, which under growth are `analyze`'s.
     """
     gr._require_growth(g)
-    comps = g._components()
+    comps = g._components
     level = comps.level
     layers = [socle_layer(g)]
     stages = [g]

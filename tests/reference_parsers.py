@@ -138,7 +138,7 @@ class _Parser:
             if ghost:
                 raise ParseError("vertex %r cannot carry a ghost mark" % name, pos)
             return vertex_element(self.g, self.field, name)
-        if name in self.g._edge_map():
+        if name in self.g.ends:
             if ghost:
                 return ghost_element(self.g, self.field, name)
             return edge_element(self.g, self.field, name)

@@ -17,6 +17,14 @@ def _acc(out, key, c, add):
         out.pop(key, None)
 
 
+def split(m):
+    """(fin, band) of an `AlmostToeplitzMatrix`, read off its one `terms`
+    dict, where key (i, j), i >= 1, is e_ij and key (0, k) is c^(k)."""
+    fin = {k: c for k, c in m.terms.items() if k[0]}
+    band = {k: c for (i, k), c in m.terms.items() if not i}
+    return fin, band
+
+
 def mul(field, a, b):
     """(fin, band) of the product of the matrices a = (fin, band) and b."""
     (fa, ba), (fb, bb) = a, b

@@ -1,6 +1,7 @@
 """Normal forms, relation checks, basis enumeration, and the parser."""
 
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from leavitt.algebra import (
     ParseError,
     edge_element,
     enumerate_basis,
+    enumerate_paths,
     ghost_element,
     graded_dimension,
     identity_element,
@@ -201,3 +203,52 @@ def test_identity_element():
         a = _random_element(rng, g, field)
         assert one * a == a
         assert a * one == a
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        alg.Monomial(("b",), ("b",), "u"),  # b b' ends in the special edge b of u
+        alg.Monomial(("zz",), (), "u"),  # zz is no edge
+        alg.Monomial(("g", "b"), (), "u"),  # r(g) = v but s(b) = u
+        alg.Monomial(("b",), (), "v"),  # r(b) = u
+        (("b",), (), "u"),  # a plain tuple
+    ],
+)
+def test_constructor_rejects_keys_that_are_no_normal_form(key):
+    g, field = load("two_loops"), make_field("Q")
+    with pytest.raises(alg.AlgebraError, match=re.escape(repr(key))):
+        alg.AlgebraElement(g, field, {key: 1})
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_constructor_keys_fuzz(name):
+    """A key is accepted exactly when it is a normal-form monomial, and an
+    element built on accepted keys is its own normal form."""
+    g, field = load(name), make_field("Q")
+    rng = random.Random("keys " + name)
+    by_range = {}
+    for path in enumerate_paths(g, 3):
+        by_range.setdefault(path.range(g), []).append(path.edges)
+    ids = list(g.vertices) + [eid for eid, _, _ in g.edges] + ["zz"]
+    basis = set(enumerate_basis(g, field, 7))
+    one = identity_element(g, field)
+    built = rejected = 0
+    for _ in range(300):
+        vertex = rng.choice(sorted(by_range))
+        p, q = rng.choice(by_range[vertex]), rng.choice(by_range[vertex])
+        if rng.random() < 0.25:
+            p += (rng.choice(ids),)
+        if rng.random() < 0.25:
+            vertex = rng.choice(ids)
+        key = alg.Monomial(p, q, vertex) if rng.random() < 0.9 else (p, q, vertex)
+        try:
+            a = alg.AlgebraElement(g, field, {key: field.from_int(2)})
+        except alg.AlgebraError as exc:
+            assert repr(key) in str(exc)
+            assert not (type(key) is alg.Monomial and key in basis)
+            rejected += 1
+        else:
+            assert key in basis and a * one == a
+            built += 1
+    assert built and rejected

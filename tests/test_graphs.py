@@ -1,5 +1,6 @@
 """Graph loading, cycle analysis, V0/V1 layers, quotients, entry paths."""
 
+import random
 import re
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from leavitt.graphs import (
     INFINITE,
     Cycle,
+    Graph,
     GraphError,
     InfiniteFamily,
     NotPolynomialGrowth,
@@ -20,8 +22,10 @@ from leavitt.graphs import (
     graph_from_dict,
     quotient_graph,
 )
+from leavitt.structure import ideal_chain
 
-from .conftest import load
+from .conftest import CORPUS, load
+from .test_graph_oracle import random_digraph
 
 
 def test_load_validation():
@@ -41,6 +45,51 @@ def test_load_validation():
                 ],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ((), (), "empty vertex set"),
+        (("v", "w", "v"), (), "duplicate vertex id 'v'"),
+        (("v",), (("e", "v", "v"), ("e", "v", "v")), "duplicate id 'e'"),
+        (("v", "w"), (("w", "v", "v"),), "duplicate id 'w'"),
+        (("v",), (("e", "x", "v"),), "edge 'e' has undeclared source 'x'"),
+        (("v",), (("e", "v", "x"),), "edge 'e' has undeclared range 'x'"),
+        # the checks run edge by edge, in this order
+        (("v",), (("e", "v", "v"), ("e", "x", "y")), "duplicate id 'e'"),
+        (("v",), (("e", "x", "y"),), "edge 'e' has undeclared source 'x'"),
+        (("v",), (("e", "v", "x"), ("f", "y", "v")), "edge 'e' has undeclared range 'x'"),
+    ],
+)
+def test_graph_validation_messages(vertices, edges, message):
+    with pytest.raises(GraphError) as info:
+        Graph(vertices, edges)
+    assert str(info.value) == message
+
+
+def _tables(g):
+    """position, ends, out and into recomputed from vertices and edges."""
+    return (
+        {v: i for i, v in enumerate(g.vertices)},
+        {eid: (s, r) for eid, s, r in g.edges},
+        {v: tuple(eid for eid, s, _ in g.edges if s == v) for v in g.vertices},
+        {v: tuple(eid for eid, _, r in g.edges if r == v) for v in g.vertices},
+    )
+
+
+def test_tables_match_vertices_and_edges():
+    rng = random.Random(27)
+    graphs = [load(name) for name in CORPUS + ["bad_growth"]]
+    graphs += [random_digraph(rng) for _ in range(300)]
+    for g in list(graphs):
+        try:
+            graphs += ideal_chain(g).stages[1:]
+        except NotPolynomialGrowth:
+            pass
+    assert len(graphs) > 320
+    for g in graphs:
+        assert (g.position, g.ends, g.out, g.into) == _tables(g)
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from leavitt.laurent import LaurentMatrix, LaurentPoly
 from leavitt.linalg import SpanBasis, SparseElement, accumulate
 
 from .conftest import load
+from .reference_toeplitz import split
 
 
 def _scalar(rng, field):
@@ -99,7 +100,7 @@ def _makers(rng, field):
                 _sparse(rng, field, [(i, j) for i in range(1, 4) for j in range(1, 4)], 3),
                 _sparse(rng, field, range(-2, 3), rng.randint(0, 2)),
             ),
-            lambda a: [a.finitary, a.band],
+            lambda a: list(split(a)),
         ),
     }
 
@@ -184,10 +185,10 @@ def test_entry_points_check_caller_values(fname, bad):
             call()
 
 
-def _on_terms(cls):
+def _on_terms(cls, ctx=None):
     """A builder on `terms` itself: the public constructor rejects keys of
     other kinds, and every kind's keys must give a twin."""
-    return lambda field, terms: cls._make(field, field.check_terms(terms))
+    return lambda field, terms: cls._make(field, field.check_terms(terms), ctx)
 
 
 def _element_kinds():
@@ -195,7 +196,7 @@ def _element_kinds():
     g = load("toeplitz")
     return {
         "algebra": (
-            lambda field, terms: alg.AlgebraElement(g, field, terms),
+            _on_terms(alg.AlgebraElement, g),
             alg.enumerate_basis(g, make_field("Q"), 2)[:3],
         ),
         "jacobson": (_on_terms(JacobsonElement), [(0, 0), (1, 2), (2, 1)]),
